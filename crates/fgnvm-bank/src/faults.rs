@@ -57,12 +57,10 @@ pub struct FaultModel {
     row_writes: HashMap<u32, u64>,
 }
 
-/// SplitMix64 finalizer: a well-mixed 64-bit hash of a 64-bit input.
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+/// SplitMix64 finalizer: a well-mixed 64-bit hash of a 64-bit input (one
+/// generator step from state `z`).
+fn mix(mut z: u64) -> u64 {
+    fgnvm_types::splitmix64(&mut z)
 }
 
 impl FaultModel {
@@ -94,9 +92,9 @@ impl FaultModel {
     /// A uniform draw in `[0, 1)` from the model's hash stream, keyed by
     /// the access identity and a per-access draw counter `k`.
     fn unit(&self, row: u32, line: u32, serial: u64, k: u64) -> f64 {
-        let mut h = splitmix64(self.seed ^ splitmix64(u64::from(row)));
-        h = splitmix64(h ^ splitmix64(u64::from(line).wrapping_shl(32) | serial));
-        h = splitmix64(h ^ k);
+        let mut h = mix(self.seed ^ mix(u64::from(row)));
+        h = mix(h ^ mix(u64::from(line).wrapping_shl(32) | serial));
+        h = mix(h ^ k);
         // 53 high bits give a uniform double in [0, 1).
         (h >> 11) as f64 / (1u64 << 53) as f64
     }

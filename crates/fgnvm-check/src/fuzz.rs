@@ -20,12 +20,11 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use fgnvm_mem::MemorySystem;
 use fgnvm_types::config::{ReliabilityConfig, SystemConfig};
-use fgnvm_types::{Completion, Op, PhysAddr, RequestId};
+use fgnvm_types::{splitmix64, Completion, Op, PhysAddr, RequestId};
 
 use crate::case::render_case;
 use crate::invariants;
 use crate::oracle::Oracle;
-use crate::seed::splitmix64;
 
 /// Which system model a fuzz case drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,7 +169,7 @@ pub struct CaseReport {
 
 /// Runs one case end to end and judges it with the full correctness
 /// layer. `Err` carries a human-readable description of the first
-/// failure: an oracle/protocol violation, a broken invariant, a watchdog
+/// failure: an oracle violation, a broken invariant, a watchdog
 /// stall, or a caught panic.
 pub fn execute_case(case: &FuzzCase) -> Result<CaseReport, String> {
     execute_case_with_kill(case, None)
@@ -298,17 +297,10 @@ fn execute_inner(case: &FuzzCase, mut kill: Option<u64>) -> Result<CaseReport, S
         let report = oracle.audit(memory.command_log(channel));
         commands += report.commands;
         max_conc = max_conc.max(report.max_tile_concurrency);
-        if !report.is_clean() {
-            let first = report
-                .violations
-                .first()
-                .map(ToString::to_string)
-                .or_else(|| report.protocol.violations.first().map(|v| format!("{v:?}")))
-                .unwrap_or_default();
+        if let Some(first) = report.violations.first() {
             return Err(format!(
-                "channel {channel}: {} oracle + {} protocol violation(s); first: {first}",
-                report.violations.len(),
-                report.protocol.violations.len()
+                "channel {channel}: {} oracle violation(s); first: {first}",
+                report.violations.len()
             ));
         }
     }

@@ -394,7 +394,7 @@ pub fn check_timeseries_conservation(
 /// must agree tenant by tenant.
 ///
 /// The two sides tag tenants at different places — the controller from
-/// the completion [`Event`](fgnvm_types::Event), the observer from the
+/// the completion event, the observer from the
 /// attribution record captured at enqueue — so a request billed to the
 /// wrong tenant on either path shows up as a cross-path mismatch even
 /// when every global counter still balances. Untagged traffic (wear

@@ -13,9 +13,10 @@
 //!   the legal-concurrency envelope forbids (rook-placement admissibility,
 //!   per-SAG single-open-row, per-CD single-sense, global column-path
 //!   serialization, write-occupancy windows including `(1+k)·tWP`
-//!   verify-retry extensions). The existing
-//!   [`ProtocolChecker`](fgnvm_mem::ProtocolChecker) runs as part of every
-//!   audit, so the two independent rule sets cross-check each other.
+//!   verify-retry extensions), plus the channel-wide data-bus occupancy
+//!   and verify-retry cap. The DRAM contrast model, which the replay does
+//!   not cover, is audited by the oracle's DRAM rule set (latency floors,
+//!   tCCD, tFAW).
 //! - [`invariants`] — conservation laws checked on whole runs: every
 //!   accepted request completes exactly once, the five-component span
 //!   decomposition sums exactly to end-to-end latency, energy is exactly

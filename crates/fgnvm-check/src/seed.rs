@@ -6,6 +6,8 @@
 //! failure messages, so a failing run can always be replayed: the seed is a
 //! pure function of `(label, index)`.
 
+use fgnvm_types::splitmix64;
+
 /// Derives a deterministic 64-bit seed from a label and an index.
 ///
 /// FNV-1a folds the label into a basis, the index is mixed in with the
@@ -29,16 +31,6 @@ pub fn derive_seed(label: &str, index: u64) -> u64 {
     h ^= index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     splitmix64(&mut h);
     h
-}
-
-/// One SplitMix64 step: advances `state` and returns the scrambled output.
-/// Public because the fuzzer uses it as its case-generation RNG.
-pub fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -37,7 +37,6 @@
 
 pub mod backend;
 pub mod bus;
-pub mod checker;
 pub mod cmdlog;
 pub mod controller;
 pub mod data;
@@ -50,7 +49,6 @@ pub mod system;
 pub mod wear;
 
 pub use backend::MemoryBackend;
-pub use checker::{ProtocolChecker, ProtocolReport, Violation};
 pub use cmdlog::{CommandLog, CommandRecord};
 pub use controller::{Controller, Enqueue};
 pub use data::DataStore;

@@ -21,7 +21,8 @@
 use proptest::prelude::*;
 
 use fgnvm_bank::{Access, Bank, BaselineBank, FgnvmBank, Modes};
-use fgnvm_mem::{CommandRecord, MemorySystem, ProtocolChecker, Sample, SystemStats};
+use fgnvm_check::Oracle;
+use fgnvm_mem::{CommandRecord, MemorySystem, Sample, SystemStats};
 use fgnvm_types::address::TileCoord;
 use fgnvm_types::config::{SchedulerKind, SystemConfig};
 use fgnvm_types::geometry::Geometry;
@@ -137,13 +138,13 @@ fn drive(config: &SystemConfig, reqs: &[Gen], fast_forward: bool) -> Snapshot {
         }
     }
     completions.extend(mem.run_until_idle(10_000_000));
-    let checker = ProtocolChecker::new(mem.config()).unwrap();
+    let oracle = Oracle::new(mem.config()).unwrap();
     let mut commands = Vec::new();
     let mut protocol = Vec::new();
     for channel in 0..mem.config().geometry.channels() {
         let log = mem.command_log(channel);
         commands.push(log.records().copied().collect());
-        protocol.push(format!("{:?}", checker.check(log)));
+        protocol.push(format!("{:?}", oracle.audit(log)));
     }
     let obs = mem.take_observer().expect("observer enabled");
     let mut reg = fgnvm_obs::Registry::new();
@@ -184,7 +185,7 @@ proptest! {
             prop_assert_eq!(&fast.banks, &stepped.banks, "{}: bank stats diverged", name);
             prop_assert_eq!(&fast.samples, &stepped.samples, "{}: samples diverged", name);
             prop_assert_eq!(&fast.commands, &stepped.commands, "{}: command log diverged", name);
-            prop_assert_eq!(&fast.protocol, &stepped.protocol, "{}: checker verdict diverged", name);
+            prop_assert_eq!(&fast.protocol, &stepped.protocol, "{}: oracle verdict diverged", name);
             prop_assert_eq!(
                 &fast.obs_metrics,
                 &stepped.obs_metrics,
@@ -250,8 +251,8 @@ fn every_checked_in_config_is_fast_forward_clean() {
             .unwrap_or_else(|e| panic!("{}: {e:?}", path.display()));
         let fast = drive(&config, &reqs, true);
         let stepped = drive(&config, &reqs, false);
-        // `Snapshot` equality covers the checker verdicts too: whatever the
-        // checker concludes, it must conclude it identically in both modes.
+        // `Snapshot` equality covers the oracle verdicts too: whatever the
+        // oracle concludes, it must conclude it identically in both modes.
         assert_eq!(
             fast,
             stepped,

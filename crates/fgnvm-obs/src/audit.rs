@@ -128,7 +128,7 @@ pub struct AuditLog {
     /// Per-decision issuable-parallelism histogram: bin `k` counts
     /// decisions with `min(co_issuable, HIST_BINS-1) == k`.
     pub parallelism_hist: [u64; HIST_BINS],
-    /// Decisions made with an otherwise-empty queue (`considered == 1`).
+    /// Decisions made with no other candidate queued (`considered <= 1`).
     pub solo_decisions: u64,
     /// Conservation violations: records claiming co-issue opportunity
     /// with no other candidate on the table. Must stay zero.

@@ -126,7 +126,7 @@ pub fn audit(
     row(
         "solo decisions",
         audit.solo_decisions.to_string(),
-        "decisions with no legal co-issue available",
+        "decisions with no other candidate queued",
     );
     row(
         "candidates considered",

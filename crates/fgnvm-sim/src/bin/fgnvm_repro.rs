@@ -904,8 +904,8 @@ fn regress(params: &ExperimentParams) -> Result<(), String> {
 
 /// Audits real runs of each configuration through the conformance oracle
 /// (`fgnvm-check`): the whole command stream is replayed against the
-/// analytically derived legality envelope, the protocol checker runs over
-/// the same log, and the whole-run conservation invariants are checked.
+/// analytically derived legality envelope and the whole-run conservation
+/// invariants are checked.
 /// Any violation makes the command fail, so CI can gate on it.
 fn oracle_check(args: &[String], p: &ExperimentParams) -> Result<Table, String> {
     let configs: Vec<(String, fgnvm_types::SystemConfig)> = if args.is_empty() {
@@ -916,7 +916,7 @@ fn oracle_check(args: &[String], p: &ExperimentParams) -> Result<Table, String> 
             .collect::<Result<_, String>>()?
     };
     let mut table = Table::new(
-        "Conformance audit (oracle + protocol checker + invariants)",
+        "Conformance audit (oracle + invariants)",
         &[
             "config",
             "commands",

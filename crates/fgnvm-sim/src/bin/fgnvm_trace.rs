@@ -191,12 +191,12 @@ fn run() -> Result<(), String> {
                 );
             }
             if check {
-                let checker =
-                    fgnvm_mem::ProtocolChecker::new(memory.config()).map_err(|e| e.to_string())?;
+                let oracle =
+                    fgnvm_check::Oracle::new(memory.config()).map_err(|e| e.to_string())?;
                 let mut clean = true;
                 for channel in 0..memory.config().geometry.channels() {
-                    let report = checker.check(memory.command_log(channel));
-                    println!("protocol ch{channel}:  {report}");
+                    let report = oracle.audit(memory.command_log(channel));
+                    println!("audit ch{channel}:     {report}");
                     clean &= report.is_clean();
                 }
                 if !clean {

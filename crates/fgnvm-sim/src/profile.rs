@@ -41,12 +41,7 @@ pub const PROFILE_WORKLOAD: &str = "observe-mix";
 /// FNV-1a 64-bit over `bytes`, rendered as 16 hex digits. Used for the
 /// configuration provenance hash (same binary + same config → same hash).
 pub fn fnv1a_hex(bytes: &[u8]) -> String {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        hash ^= u64::from(*b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    format!("{hash:016x}")
+    format!("{:016x}", fgnvm_types::snapshot::fnv1a64(bytes))
 }
 
 /// Best-effort commit hash for provenance: `GIT_SHA` env var, else the

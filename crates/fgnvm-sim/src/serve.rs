@@ -525,7 +525,7 @@ pub struct TenantReport {
 /// exact same arrival stream.
 fn generate_op(seed: u64, index: u64, lines: u64, line_bytes: u64) -> (Op, PhysAddr, u64) {
     let mut s = seed ^ index.wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    let mut next = move || fgnvm_check::seed::splitmix64(&mut s);
+    let mut next = move || fgnvm_types::splitmix64(&mut s);
     let op = if next() % 100 < 35 {
         Op::Write
     } else {

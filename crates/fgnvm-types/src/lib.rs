@@ -33,6 +33,7 @@ pub mod geometry;
 pub mod hist;
 pub mod params;
 pub mod request;
+pub mod rng;
 pub mod snapshot;
 pub mod time;
 
@@ -45,5 +46,6 @@ pub use error::{ConfigError, SimError};
 pub use geometry::Geometry;
 pub use params::{parse_system_config, write_system_config, ParseParamsError};
 pub use request::{Completion, Op, Priority, Request, RequestId};
+pub use rng::splitmix64;
 pub use snapshot::{fnv1a64, SnapshotError, SnapshotReader, SnapshotWriter, SNAPSHOT_VERSION};
 pub use time::{Cycle, CycleCount};

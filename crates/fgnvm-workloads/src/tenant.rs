@@ -16,7 +16,7 @@
 use std::fmt;
 
 use fgnvm_types::request::Op;
-use fgnvm_types::{SnapshotError, SnapshotReader, SnapshotWriter};
+use fgnvm_types::{splitmix64, SnapshotError, SnapshotReader, SnapshotWriter};
 
 /// Arrival process of one tenant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,16 +110,6 @@ impl TenantSpec {
             slo_read_p99: 0,
         }
     }
-}
-
-/// splitmix64 — the same generator the serve driver's anonymous stream
-/// uses, duplicated here so the workloads crate stays a leaf.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 /// Draws an exponential variate with the given integer mean, clamped to

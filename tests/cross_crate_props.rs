@@ -114,7 +114,7 @@ proptest! {
 
     /// Whatever the workload and design, the command sequence the
     /// controller actually issues obeys the device protocol (audited by
-    /// the independent [`fgnvm_mem::ProtocolChecker`]).
+    /// the independent [`fgnvm_check::Oracle`]).
     #[test]
     fn issued_commands_obey_the_protocol(
         profile in profile_strategy(),
@@ -132,9 +132,9 @@ proptest! {
         let mut memory = fgnvm_mem::MemorySystem::new(config).unwrap();
         memory.enable_command_log(1 << 20);
         core.run(&trace, &mut memory);
-        let checker = fgnvm_mem::ProtocolChecker::new(&config).unwrap();
+        let oracle = fgnvm_check::Oracle::new(&config).unwrap();
         for channel in 0..config.geometry.channels() {
-            let report = checker.check(memory.command_log(channel));
+            let report = oracle.audit(memory.command_log(channel));
             prop_assert!(report.is_clean(), "design {design} channel {channel}: {report}");
         }
     }

@@ -65,7 +65,7 @@ fn stepping_modes_agree_and_both_audit_clean() {
             let lines = config.geometry.capacity_bytes() / line;
             let mut rng = seed;
             for i in 0..600u64 {
-                let r = fgnvm_check::seed::splitmix64(&mut rng);
+                let r = fgnvm_types::splitmix64(&mut rng);
                 let op = if r.is_multiple_of(3) {
                     Op::Write
                 } else {

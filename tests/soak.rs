@@ -6,8 +6,9 @@
 //! turns everything on simultaneously, runs a mixed workload, and checks
 //! the cross-layer invariants that must survive the interactions.
 
+use fgnvm_check::Oracle;
 use fgnvm_cpu::{Core, CoreConfig};
-use fgnvm_mem::{MemorySystem, ProtocolChecker};
+use fgnvm_mem::MemorySystem;
 use fgnvm_types::config::SystemConfig;
 use fgnvm_types::request::Op;
 use fgnvm_types::{Geometry, PhysAddr};
@@ -88,8 +89,7 @@ fn all_optional_layers_coexist() {
 
     // 4. The command log passes the protocol audit — including the
     //    Start-Gap copy traffic and paused writes.
-    let checker = ProtocolChecker::new(&config).unwrap();
-    let report = checker.check(memory.command_log(0));
+    let report = Oracle::new(&config).unwrap().audit(memory.command_log(0));
     assert!(report.is_clean(), "{report}");
     assert!(report.commands > 1000, "log captured too little");
 
@@ -139,8 +139,7 @@ fn soak_on_dram_with_closed_page() {
         0,
         "row hits on closed page (seed {seed})"
     );
-    let checker = ProtocolChecker::new(&config).unwrap();
-    let report = checker.check(memory.command_log(0));
+    let report = Oracle::new(&config).unwrap().audit(memory.command_log(0));
     assert!(report.is_clean(), "(seed {seed}) {report}");
 }
 
