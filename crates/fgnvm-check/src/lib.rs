@@ -18,10 +18,11 @@
 //!   not cover, is audited by the oracle's DRAM rule set (latency floors,
 //!   tCCD, tFAW).
 //! - [`invariants`] — conservation laws checked on whole runs: every
-//!   accepted request completes exactly once, the five-component span
-//!   decomposition sums exactly to end-to-end latency, energy is exactly
-//!   the modeled constants times the bit counters, and the observability
-//!   heatmap totals equal the bank counters.
+//!   accepted request completes exactly once, the stall attribution and
+//!   the five-component span decomposition it derives each sum exactly to
+//!   end-to-end latency, energy is exactly the modeled constants times the
+//!   bit counters, and the observability heatmap totals equal the bank
+//!   counters.
 //! - [`mod@fuzz`] — a shrinking command-sequence fuzzer driving the raw
 //!   [`MemorySystem`](fgnvm_mem::MemorySystem) API with arbitrary
 //!   interleavings, geometries, fault configs and stepping modes; failures

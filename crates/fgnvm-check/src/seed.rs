@@ -6,13 +6,13 @@
 //! failure messages, so a failing run can always be replayed: the seed is a
 //! pure function of `(label, index)`.
 
-use fgnvm_types::splitmix64;
+use fgnvm_types::{fnv1a64, splitmix64};
 
 /// Derives a deterministic 64-bit seed from a label and an index.
 ///
-/// FNV-1a folds the label into a basis, the index is mixed in with the
-/// 64-bit golden ratio, and one SplitMix64 finalization scrambles the
-/// result so nearby indices produce unrelated streams. The same
+/// FNV-1a ([`fnv1a64`]) folds the label into a basis, the index is mixed
+/// in with the 64-bit golden ratio, and one SplitMix64 finalization
+/// scrambles the result so nearby indices produce unrelated streams. The same
 /// construction as the vendored proptest `TestRng`, shared here so every
 /// tier derives seeds the same way.
 ///
@@ -23,11 +23,7 @@ use fgnvm_types::splitmix64;
 /// assert_ne!(derive_seed("soak", 0), derive_seed("fuzz", 0));
 /// ```
 pub fn derive_seed(label: &str, index: u64) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for byte in label.bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
+    let mut h = fnv1a64(label.as_bytes());
     h ^= index.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     splitmix64(&mut h);
     h

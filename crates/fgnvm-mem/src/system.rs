@@ -2137,7 +2137,10 @@ mod tests {
         }
         let (obs_ref, obs_res) = (reference.observer().unwrap(), restored.observer().unwrap());
         assert_eq!(obs_ref.trace_json(), obs_res.trace_json());
-        assert_eq!(obs_ref.spans.to_json(), obs_res.spans.to_json());
+        assert_eq!(
+            obs_ref.attribution.spans_json(),
+            obs_res.attribution.spans_json()
+        );
         assert_eq!(obs_ref.heatmap.cells(), obs_res.heatmap.cells());
         assert_eq!(obs_ref.attribution.to_json(), obs_res.attribution.to_json());
         for kind in InstantKind::ALL {
@@ -2191,10 +2194,10 @@ mod tests {
         assert_eq!(plain.bank_stats(), observed.bank_stats());
 
         let obs = observed.observer().expect("observer enabled");
-        // Every request got a span and every span closed.
-        assert_eq!(obs.spans.open_count(), 0);
+        // Every request got a lifecycle record and every record closed.
+        assert_eq!(obs.attribution.open_count(), 0);
         assert_eq!(
-            obs.spans.completed,
+            obs.attribution.completed(),
             observed.stats().completed_reads + observed.stats().completed_writes
         );
         // The heatmap saw every committed command and matches the grid.

@@ -18,9 +18,11 @@
 //!
 //! The decomposition is a *partition* of `[arrival, completion)` — buckets
 //! sum **exactly** to the end-to-end latency, by construction, for every
-//! request. `fgnvm-check` enforces this as a conservation invariant and
-//! cross-checks the totals against the independent five-component span
-//! tracker.
+//! request. `fgnvm-check` enforces this as a conservation invariant.
+//!
+//! The same open-request record also yields the five-part
+//! queue/retry/bank/bus/tail [`LatencyBreakdown`] per operation class (see
+//! [`span`](crate::span)): one map of in-flight requests feeds both views.
 //!
 //! Attribution is computed purely from the lifecycle hooks
 //! (`on_enqueued` / `on_command` / `on_completed`), which fire identically
@@ -33,6 +35,7 @@
 use std::collections::HashMap;
 
 use crate::json::number;
+use crate::span::LatencyBreakdown;
 use crate::{CommandIssue, InstantKind};
 
 /// Number of taxonomy buckets.
@@ -282,8 +285,12 @@ struct OpenReq {
     arrival: u64,
     is_read: bool,
     tenant: u16,
-    /// Start of the not-yet-attributed suffix of the lifetime.
+    /// Start of the not-yet-attributed suffix of the lifetime; after the
+    /// first issue, the end of the latest data burst.
     mark: u64,
+    first_issue: u64,
+    last_issue: u64,
+    data_start: u64,
     cycles: [u64; BUCKETS],
     issues: u32,
     last_retries: u32,
@@ -307,6 +314,15 @@ pub struct Attribution {
     /// Commands whose plan-kind label the taxonomy did not recognize.
     /// Non-zero fails the `fgnvm-check` attribution invariant.
     pub unclassified: u64,
+    /// Five-part latency breakdown over completed reads.
+    pub read_spans: LatencyBreakdown,
+    /// Five-part latency breakdown over completed writes.
+    pub write_spans: LatencyBreakdown,
+    /// Completed requests that never issued a command (forwarded reads,
+    /// coalesced writes).
+    pub never_issued: u64,
+    /// Command issues beyond the first for some request (write re-issues).
+    pub reissues: u64,
     /// Transient: the pre-issue wait decomposition of the command most
     /// recently passed to [`Attribution::on_command`], reduced to its
     /// dominant bucket (ties break to the lowest bucket index) and total
@@ -344,6 +360,9 @@ impl Attribution {
                 is_read,
                 tenant,
                 mark: now,
+                first_issue: 0,
+                last_issue: 0,
+                data_start: 0,
                 cycles: [0; BUCKETS],
                 issues: 0,
                 last_retries: 0,
@@ -373,10 +392,12 @@ impl Attribution {
             let at = cmd.at.max(w0);
             let before = r.cycles;
             if r.issues == 0 {
+                r.first_issue = at;
                 self.classify_wait(&mut r, cmd, rank, w0, at);
             } else {
                 // Re-issue after verify-budget exhaustion: the whole bounce
                 // (residual programming + requeue wait) is retry extension.
+                self.reissues += 1;
                 r.cycles[StallCause::VerifyRetry as usize] += at - w0;
             }
             if at > w0 {
@@ -405,6 +426,8 @@ impl Attribution {
             }
             r.cycles[StallCause::GlobalIo as usize] += data_start - e;
             r.cycles[StallCause::Service as usize] += data_end - data_start;
+            r.last_issue = at;
+            r.data_start = data_start;
             r.mark = data_end;
             r.issues += 1;
             r.last_retries = cmd.retries;
@@ -431,12 +454,31 @@ impl Attribution {
     }
 
     /// Hook: request `id` completed at `now`. Attributes the tail and folds
-    /// the finished record into the aggregates.
+    /// the finished record into the aggregates and the latency breakdown.
     pub fn on_completed(&mut self, id: u64, now: u64) {
         let Some(mut r) = self.open.remove(&id) else {
             return;
         };
         let tail = now.saturating_sub(r.mark);
+        let total = now.saturating_sub(r.arrival);
+        let parts = if r.issues == 0 {
+            // Never reached the array: the whole lifetime is queueing.
+            self.never_issued += 1;
+            [total, 0, 0, 0, 0]
+        } else {
+            [
+                r.first_issue - r.arrival,
+                r.last_issue - r.first_issue,
+                r.data_start - r.last_issue,
+                r.mark - r.data_start,
+                tail,
+            ]
+        };
+        if r.is_read {
+            self.read_spans.record(parts, total);
+        } else {
+            self.write_spans.record(parts, total);
+        }
         if r.issues == 0 {
             // Satisfied without touching the array (store-to-load forward,
             // write coalescing): pure controller handling.
@@ -472,6 +514,11 @@ impl Attribution {
         self.open.len()
     }
 
+    /// Requests completed so far.
+    pub fn completed(&self) -> u64 {
+        self.reads.count + self.writes.count
+    }
+
     /// Takes the most recent command's dominant pre-issue wait, if the
     /// command waited at all. Valid only within the same `on_command`
     /// dispatch (the next command overwrites it).
@@ -480,9 +527,10 @@ impl Attribution {
     }
 
     /// Serialize the full tracker state — open requests, command-history
-    /// windows, activation history, aggregates, and the per-request records
-    /// — into a checkpoint. `params` are *not* written: they are static
-    /// model facts rebuilt from the configuration at restore time.
+    /// windows, activation history, aggregates, the per-request records and
+    /// the latency breakdowns — into a checkpoint. `params` are *not*
+    /// written: they are static model facts rebuilt from the configuration
+    /// at restore time.
     pub fn save_state(&self, w: &mut fgnvm_types::SnapshotWriter) {
         w.tag("attr");
         let mut ids: Vec<u64> = self.open.keys().copied().collect();
@@ -495,6 +543,9 @@ impl Attribution {
             w.bool(r.is_read);
             w.u32(u32::from(r.tenant));
             w.u64(r.mark);
+            w.u64(r.first_issue);
+            w.u64(r.last_issue);
+            w.u64(r.data_start);
             for c in &r.cycles {
                 w.u64(*c);
             }
@@ -552,6 +603,10 @@ impl Attribution {
             }
         }
         w.u64(self.unclassified);
+        w.u64(self.never_issued);
+        w.u64(self.reissues);
+        self.read_spans.save_state(w);
+        self.write_spans.save_state(w);
     }
 
     /// Restore a tracker written by [`Attribution::save_state`] into this
@@ -570,28 +625,19 @@ impl Attribution {
         self.open = HashMap::with_capacity(n);
         for _ in 0..n {
             let id = r.u64()?;
-            let arrival = r.u64()?;
-            let is_read = r.bool()?;
-            let tenant = r.u32()? as u16;
-            let mark = r.u64()?;
-            let mut cycles = [0u64; BUCKETS];
-            for c in &mut cycles {
-                *c = r.u64()?;
-            }
-            let issues = r.u32()?;
-            let last_retries = r.u32()?;
-            self.open.insert(
-                id,
-                OpenReq {
-                    arrival,
-                    is_read,
-                    tenant,
-                    mark,
-                    cycles,
-                    issues,
-                    last_retries,
-                },
-            );
+            let req = OpenReq {
+                arrival: r.u64()?,
+                is_read: r.bool()?,
+                tenant: r.u32()? as u16,
+                mark: r.u64()?,
+                first_issue: r.u64()?,
+                last_issue: r.u64()?,
+                data_start: r.u64()?,
+                cycles: read_buckets(r)?,
+                issues: r.u32()?,
+                last_retries: r.u32()?,
+            };
+            self.open.insert(id, req);
         }
         let n = r.usize()?;
         self.windows = HashMap::with_capacity(n);
@@ -625,35 +671,26 @@ impl Attribution {
         for totals in [&mut self.reads, &mut self.writes] {
             totals.count = r.u64()?;
             totals.total = r.u64()?;
-            for c in &mut totals.cycles {
-                *c = r.u64()?;
-            }
-            for d in &mut totals.dominant {
-                *d = r.u64()?;
-            }
+            totals.cycles = read_buckets(r)?;
+            totals.dominant = read_buckets(r)?;
         }
         let n = r.usize()?;
         self.requests = Vec::with_capacity(n);
         for _ in 0..n {
-            let id = r.u64()?;
-            let is_read = r.bool()?;
-            let tenant = r.u32()? as u16;
-            let arrival = r.u64()?;
-            let completion = r.u64()?;
-            let mut cycles = [0u64; BUCKETS];
-            for c in &mut cycles {
-                *c = r.u64()?;
-            }
             self.requests.push(RequestAttribution {
-                id,
-                is_read,
-                tenant,
-                arrival,
-                completion,
-                cycles,
+                id: r.u64()?,
+                is_read: r.bool()?,
+                tenant: r.u32()? as u16,
+                arrival: r.u64()?,
+                completion: r.u64()?,
+                cycles: read_buckets(r)?,
             });
         }
         self.unclassified = r.u64()?;
+        self.never_issued = r.u64()?;
+        self.reissues = r.u64()?;
+        self.read_spans = LatencyBreakdown::load_state(r)?;
+        self.write_spans = LatencyBreakdown::load_state(r)?;
         Ok(())
     }
 
@@ -788,6 +825,30 @@ impl Attribution {
             self.writes.to_json()
         )
     }
+
+    /// The five-part latency-breakdown document: completion, never-issued,
+    /// re-issue and in-flight counts plus the read and write breakdowns.
+    pub fn spans_json(&self) -> String {
+        format!(
+            "{{\"completed\":{},\"never_issued\":{},\"reissues\":{},\"open\":{},\"read\":{},\"write\":{}}}",
+            self.completed(),
+            self.never_issued,
+            self.reissues,
+            self.open.len(),
+            self.read_spans.to_json(),
+            self.write_spans.to_json()
+        )
+    }
+}
+
+fn read_buckets(
+    r: &mut fgnvm_types::SnapshotReader<'_>,
+) -> Result<[u64; BUCKETS], fgnvm_types::SnapshotError> {
+    let mut out = [0u64; BUCKETS];
+    for c in &mut out {
+        *c = r.u64()?;
+    }
+    Ok(out)
 }
 
 fn cd_overlap(full_row: bool, a: (u32, u32), b: (u32, u32)) -> bool {
@@ -1052,6 +1113,107 @@ mod tests {
         a.on_command(&cmd(2, 60)); // 40 SAG-conflict + 10 queue cycles
         assert_eq!(a.take_last_wait(), Some((StallCause::SagConflict, 50)));
         assert_eq!(a.take_last_wait(), None); // consumed
+    }
+
+    /// A command bursting over `data_start..data_end`, with no bus push.
+    fn issue(id: u64, at: u64, data_start: u64, data_end: u64) -> CommandIssue<'static> {
+        CommandIssue {
+            earliest_data: data_start,
+            data_start,
+            data_end,
+            completion: data_end,
+            ..cmd(id, at)
+        }
+    }
+
+    fn write(id: u64, at: u64, data_start: u64, data_end: u64) -> CommandIssue<'static> {
+        CommandIssue {
+            is_read: false,
+            kind: "write",
+            ..issue(id, at, data_start, data_end)
+        }
+    }
+
+    #[test]
+    fn components_sum_to_total() {
+        let mut a = Attribution::new(AttributionParams::bare(4, 4));
+        a.on_enqueued(1, true, 0, 100);
+        a.on_command(&issue(1, 130, 160, 168));
+        a.on_completed(1, 172);
+        let r = &a.read_spans;
+        assert_eq!(r.queue.sum(), 30);
+        assert_eq!(r.retry.sum(), 0);
+        assert_eq!(r.bank.sum(), 30);
+        assert_eq!(r.bus.sum(), 8);
+        assert_eq!(r.tail.sum(), 4);
+        assert_eq!(r.total.sum(), 72);
+        assert_eq!(
+            r.queue.sum() + r.retry.sum() + r.bank.sum() + r.bus.sum() + r.tail.sum(),
+            r.total.sum()
+        );
+    }
+
+    #[test]
+    fn reissue_lands_in_retry() {
+        let mut a = Attribution::new(AttributionParams::bare(4, 4));
+        a.on_enqueued(7, false, 0, 0);
+        a.on_command(&write(7, 10, 15, 20));
+        a.on_command(&write(7, 50, 55, 60)); // re-issued after verify failure
+        a.on_completed(7, 80);
+        assert_eq!(a.reissues, 1);
+        let w = &a.write_spans;
+        assert_eq!(w.queue.sum(), 10);
+        assert_eq!(w.retry.sum(), 40);
+        assert_eq!(w.bank.sum(), 5);
+        assert_eq!(w.bus.sum(), 5);
+        assert_eq!(w.tail.sum(), 20);
+        assert_eq!(w.total.sum(), 80);
+    }
+
+    #[test]
+    fn forwarded_request_is_pure_queueing() {
+        let mut a = Attribution::new(AttributionParams::bare(4, 4));
+        a.on_enqueued(3, true, 0, 42);
+        a.on_completed(3, 42); // store-to-load forwarded, same cycle
+        assert_eq!(a.never_issued, 1);
+        assert_eq!(a.read_spans.queue.count(), 1);
+        assert_eq!(a.read_spans.queue.sum(), 0);
+        assert_eq!(a.read_spans.total.counts()[0], 1); // exercises bucket 0
+    }
+
+    #[test]
+    fn unknown_completion_is_ignored() {
+        let mut a = Attribution::new(AttributionParams::bare(4, 4));
+        a.on_completed(99, 10);
+        a.on_command(&issue(99, 5, 6, 7));
+        assert_eq!(a.completed(), 0);
+        assert_eq!(a.open_count(), 0);
+    }
+
+    #[test]
+    fn breakdown_survives_a_checkpoint_between_issues() {
+        let run = |checkpoint: bool| {
+            let params = AttributionParams::bare(4, 4);
+            let mut a = Attribution::new(params);
+            a.on_enqueued(7, false, 0, 0);
+            a.on_command(&write(7, 10, 15, 20));
+            if checkpoint {
+                let mut w = fgnvm_types::SnapshotWriter::new();
+                a.save_state(&mut w);
+                let bytes = w.finish();
+                let mut r = fgnvm_types::SnapshotReader::new(&bytes).expect("readable");
+                a = Attribution::new(params);
+                a.load_state(&mut r).expect("decodes");
+            }
+            a.on_command(&write(7, 50, 55, 60));
+            a.on_completed(7, 80);
+            a
+        };
+        let (straight, resumed) = (run(false), run(true));
+        assert_eq!(resumed.write_spans.retry.sum(), 40);
+        assert_eq!(resumed.write_spans, straight.write_spans);
+        assert_eq!(resumed.spans_json(), straight.spans_json());
+        assert_eq!(resumed.to_json(), straight.to_json());
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //!
 //! This crate is the observability backbone threaded through the stack:
 //!
-//! - [`span::SpanTracker`] — per-request lifecycle spans decomposed into
-//!   exact queue/retry/bank/bus/tail latency components (reads and writes);
+//! - [`attribution::Attribution`] — the one per-request lifecycle record:
+//!   an exact ten-bucket stall taxonomy per request, plus the
+//!   queue/retry/bank/bus/tail [`span::LatencyBreakdown`] (reads and
+//!   writes);
 //! - [`heatmap::TileHeatmap`] — the S×C (SAG × column-division) conflict
 //!   and occupancy grid that makes the paper's rook-placement model
 //!   visible;
@@ -46,7 +48,7 @@ pub use flight::{FlightEvent, FlightRecorder};
 pub use heatmap::{TileCell, TileHeatmap};
 pub use hist::Log2Hist;
 pub use registry::{CounterHandle, GaugeHandle, MetricValue, Registry};
-pub use span::{LatencyBreakdown, SpanTracker};
+pub use span::LatencyBreakdown;
 pub use table::TableData;
 pub use timeseries::{TenantWindow, TimeSeries, WindowAgg};
 pub use trace::TraceSink;
@@ -145,20 +147,19 @@ impl InstantKind {
     }
 }
 
-/// The per-run observer: spans + heatmap + trace sink behind one facade.
+/// The per-run observer: attribution + heatmap + trace sink behind one
+/// facade.
 ///
 /// The simulator calls the `on_*` hooks from its cycle-stepped paths; all
 /// aggregation happens here so enabling observability changes no simulated
 /// state.
 #[derive(Debug)]
 pub struct Observer {
-    /// Request lifecycle spans and latency breakdowns.
-    pub spans: SpanTracker,
     /// S×C tile conflict/occupancy grid.
     pub heatmap: TileHeatmap,
     /// Chrome trace-event sink.
     pub trace: TraceSink,
-    /// Exact per-request stall-cycle attribution.
+    /// Exact per-request stall-cycle attribution and latency breakdowns.
     pub attribution: Attribution,
     instants: [u64; 8],
     /// Windowed time-series engine; `None` until
@@ -184,7 +185,6 @@ impl Observer {
     /// (access modes, tFAW, timing carve-outs).
     pub fn with_params(params: AttributionParams) -> Self {
         Observer {
-            spans: SpanTracker::new(),
             heatmap: TileHeatmap::new(params.sags.max(1), params.cds.max(1)),
             trace: TraceSink::default(),
             attribution: Attribution::new(params),
@@ -268,7 +268,6 @@ impl Observer {
     /// Hook: a request entered the system, tagged as `tenant`'s traffic
     /// (0 for untagged).
     pub fn on_enqueued(&mut self, id: u64, is_read: bool, tenant: u16, now: u64) {
-        self.spans.on_enqueued(id, is_read, now);
         self.attribution.on_enqueued(id, is_read, tenant, now);
         if let Some(ts) = &mut self.timeseries {
             ts.record_arrival(is_read, tenant, now);
@@ -277,7 +276,6 @@ impl Observer {
 
     /// Hook: a request completed (or was satisfied without issuing).
     pub fn on_completed(&mut self, id: u64, now: u64) {
-        self.spans.on_completed(id, now);
         let before = self.attribution.requests.len();
         self.attribution.on_completed(id, now);
         if let Some(ts) = &mut self.timeseries {
@@ -299,8 +297,6 @@ impl Observer {
 
     /// Hook: a command issued to a bank.
     pub fn on_command(&mut self, cmd: &CommandIssue<'_>) {
-        self.spans
-            .on_issued(cmd.id, cmd.at, cmd.data_start, cmd.data_end);
         self.attribution.on_command(cmd);
         let wait = self.attribution.take_last_wait();
         if let Some(ts) = &mut self.timeseries {
@@ -393,10 +389,10 @@ impl Observer {
 
     /// Exports the observer's own aggregates into a metric registry.
     pub fn export_metrics(&self, reg: &mut Registry) {
-        reg.set_counter("obs.spans.completed", self.spans.completed);
-        reg.set_counter("obs.spans.never_issued", self.spans.never_issued);
-        reg.set_counter("obs.spans.reissues", self.spans.reissues);
-        reg.set_counter("obs.spans.open", self.spans.open_count() as u64);
+        reg.set_counter("obs.spans.completed", self.attribution.completed());
+        reg.set_counter("obs.spans.never_issued", self.attribution.never_issued);
+        reg.set_counter("obs.spans.reissues", self.attribution.reissues);
+        reg.set_counter("obs.spans.open", self.attribution.open_count() as u64);
         reg.set_counter("obs.heatmap.conflicts", self.heatmap.total_conflicts());
         reg.set_counter(
             "obs.heatmap.conflict_cycles",
@@ -449,14 +445,13 @@ impl Observer {
         }
     }
 
-    /// Serialize the observer's full aggregation state (spans, heatmap,
-    /// trace buffer, attribution, instant counters) into a checkpoint.
+    /// Serialize the observer's full aggregation state (heatmap, trace
+    /// buffer, attribution, instant counters) into a checkpoint.
     pub fn save_state(&self, w: &mut fgnvm_types::SnapshotWriter) {
         w.tag("observer");
         for count in &self.instants {
             w.u64(*count);
         }
-        self.spans.save_state(w);
         self.heatmap.save_state(w);
         self.trace.save_state(w);
         self.attribution.save_state(w);
@@ -489,7 +484,6 @@ impl Observer {
         for count in &mut self.instants {
             *count = r.u64()?;
         }
-        self.spans.load_state(r)?;
         self.heatmap.load_state(r)?;
         self.trace.load_state(r)?;
         self.attribution.load_state(r)?;
@@ -519,7 +513,7 @@ impl Observer {
         format!(
             "{{\"counters\":{},\"spans\":{},\"heatmap\":{},\"attribution\":{}}}",
             reg.to_json(),
-            self.spans.to_json(),
+            self.attribution.spans_json(),
             self.heatmap.to_json(),
             self.attribution.to_json()
         )
@@ -563,7 +557,7 @@ mod tests {
         obs.on_command(&issue(1, 10));
         obs.on_completed(1, 48);
         obs.on_instant(InstantKind::Remap, 0, 0, 50);
-        assert_eq!(obs.spans.completed, 1);
+        assert_eq!(obs.attribution.completed(), 1);
         assert_eq!(obs.heatmap.cell(0, 0).activations, 1);
         assert_eq!(obs.instant_count(InstantKind::Remap), 1);
         let trace = obs.trace_json();

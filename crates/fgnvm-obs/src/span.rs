@@ -1,7 +1,8 @@
-//! Per-request lifecycle spans and latency-breakdown decomposition.
+//! The five-part latency breakdown.
 //!
-//! Every request is tracked from arrival to completion and its total
-//! latency is split into five exact, additive components:
+//! [`Attribution`](crate::Attribution) folds every completed request's
+//! lifecycle into five exact, additive components next to its ten-bucket
+//! stall taxonomy, from the same per-request record:
 //!
 //! | component | interval | meaning |
 //! |---|---|---|
@@ -14,8 +15,6 @@
 //! `queue + retry + bank + bus + tail == total` for every request. Requests
 //! that never reach the array (store-to-load forwarded reads, coalesced
 //! writes) complete with their whole — usually zero — latency in `queue`.
-
-use std::collections::HashMap;
 
 use crate::hist::Log2Hist;
 
@@ -37,6 +36,18 @@ pub struct LatencyBreakdown {
 }
 
 impl LatencyBreakdown {
+    /// Records one request: `[queue, retry, bank, bus, tail]` and its
+    /// whole-lifetime `total`.
+    pub(crate) fn record(&mut self, parts: [u64; 5], total: u64) {
+        let [queue, retry, bank, bus, tail] = parts;
+        self.queue.record(queue);
+        self.retry.record(retry);
+        self.bank.record(bank);
+        self.bus.record(bus);
+        self.tail.record(tail);
+        self.total.record(total);
+    }
+
     /// Serializes all six histograms as one JSON object.
     pub fn to_json(&self) -> String {
         format!(
@@ -49,261 +60,30 @@ impl LatencyBreakdown {
             self.total.to_json()
         )
     }
-}
 
-#[derive(Debug, Clone, Copy)]
-struct OpenSpan {
-    arrival: u64,
-    is_read: bool,
-    first_issue: u64,
-    last_issue: u64,
-    data_start: u64,
-    data_end: u64,
-    issues: u32,
-}
-
-/// Tracks in-flight request spans and folds completed ones into
-/// read/write [`LatencyBreakdown`]s.
-#[derive(Debug, Clone, Default)]
-pub struct SpanTracker {
-    open: HashMap<u64, OpenSpan>,
-    /// Breakdown over completed reads.
-    pub reads: LatencyBreakdown,
-    /// Breakdown over completed writes.
-    pub writes: LatencyBreakdown,
-    /// Spans closed so far.
-    pub completed: u64,
-    /// Completed requests that never issued a command (forwarded reads,
-    /// coalesced writes).
-    pub never_issued: u64,
-    /// Command issues beyond the first for some request (write re-issues).
-    pub reissues: u64,
-}
-
-impl SpanTracker {
-    /// An empty tracker.
-    pub fn new() -> Self {
-        SpanTracker::default()
-    }
-
-    /// A request entered the system at cycle `now`.
-    pub fn on_enqueued(&mut self, id: u64, is_read: bool, now: u64) {
-        self.open.insert(
-            id,
-            OpenSpan {
-                arrival: now,
-                is_read,
-                first_issue: 0,
-                last_issue: 0,
-                data_start: 0,
-                data_end: 0,
-                issues: 0,
-            },
-        );
-    }
-
-    /// A command for request `id` issued at `at`, bursting over
-    /// `data_start..data_end`.
-    pub fn on_issued(&mut self, id: u64, at: u64, data_start: u64, data_end: u64) {
-        if let Some(span) = self.open.get_mut(&id) {
-            if span.issues == 0 {
-                span.first_issue = at;
-            } else {
-                self.reissues += 1;
-            }
-            span.issues += 1;
-            span.last_issue = at;
-            span.data_start = data_start;
-            span.data_end = data_end;
+    pub(crate) fn save_state(&self, w: &mut fgnvm_types::SnapshotWriter) {
+        for h in [
+            &self.queue,
+            &self.retry,
+            &self.bank,
+            &self.bus,
+            &self.tail,
+            &self.total,
+        ] {
+            h.save_state(w);
         }
     }
 
-    /// Request `id` completed at `now`; decomposes and records its span.
-    pub fn on_completed(&mut self, id: u64, now: u64) {
-        let Some(span) = self.open.remove(&id) else {
-            return;
-        };
-        self.completed += 1;
-        let total = now.saturating_sub(span.arrival);
-        let breakdown = if span.is_read {
-            &mut self.reads
-        } else {
-            &mut self.writes
-        };
-        if span.issues == 0 {
-            // Never reached the array: the whole lifetime is queueing.
-            self.never_issued += 1;
-            breakdown.queue.record(total);
-            breakdown.retry.record(0);
-            breakdown.bank.record(0);
-            breakdown.bus.record(0);
-            breakdown.tail.record(0);
-        } else {
-            breakdown
-                .queue
-                .record(span.first_issue.saturating_sub(span.arrival));
-            breakdown
-                .retry
-                .record(span.last_issue.saturating_sub(span.first_issue));
-            breakdown
-                .bank
-                .record(span.data_start.saturating_sub(span.last_issue));
-            breakdown
-                .bus
-                .record(span.data_end.saturating_sub(span.data_start));
-            breakdown.tail.record(now.saturating_sub(span.data_end));
-        }
-        breakdown.total.record(total);
-    }
-
-    /// Requests currently in flight.
-    pub fn open_count(&self) -> usize {
-        self.open.len()
-    }
-
-    /// Serialize open spans (sorted by id) and both breakdowns into a
-    /// checkpoint.
-    pub fn save_state(&self, w: &mut fgnvm_types::SnapshotWriter) {
-        w.tag("spans");
-        w.u64(self.completed);
-        w.u64(self.never_issued);
-        w.u64(self.reissues);
-        let mut ids: Vec<u64> = self.open.keys().copied().collect();
-        ids.sort_unstable();
-        w.usize(ids.len());
-        for id in ids {
-            let s = &self.open[&id];
-            w.u64(id);
-            w.u64(s.arrival);
-            w.bool(s.is_read);
-            w.u64(s.first_issue);
-            w.u64(s.last_issue);
-            w.u64(s.data_start);
-            w.u64(s.data_end);
-            w.u32(s.issues);
-        }
-        for breakdown in [&self.reads, &self.writes] {
-            breakdown.queue.save_state(w);
-            breakdown.retry.save_state(w);
-            breakdown.bank.save_state(w);
-            breakdown.bus.save_state(w);
-            breakdown.tail.save_state(w);
-            breakdown.total.save_state(w);
-        }
-    }
-
-    /// Restore a tracker written by [`SpanTracker::save_state`] into this
-    /// one, replacing its current contents.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapshotError`](fgnvm_types::SnapshotError) on a
-    /// truncated or mistagged stream.
-    pub fn load_state(
-        &mut self,
+    pub(crate) fn load_state(
         r: &mut fgnvm_types::SnapshotReader<'_>,
-    ) -> Result<(), fgnvm_types::SnapshotError> {
-        r.tag("spans")?;
-        self.completed = r.u64()?;
-        self.never_issued = r.u64()?;
-        self.reissues = r.u64()?;
-        let n = r.usize()?;
-        self.open = HashMap::with_capacity(n);
-        for _ in 0..n {
-            let id = r.u64()?;
-            let span = OpenSpan {
-                arrival: r.u64()?,
-                is_read: r.bool()?,
-                first_issue: r.u64()?,
-                last_issue: r.u64()?,
-                data_start: r.u64()?,
-                data_end: r.u64()?,
-                issues: r.u32()?,
-            };
-            self.open.insert(id, span);
-        }
-        for breakdown in [&mut self.reads, &mut self.writes] {
-            breakdown.queue = Log2Hist::load_state(r)?;
-            breakdown.retry = Log2Hist::load_state(r)?;
-            breakdown.bank = Log2Hist::load_state(r)?;
-            breakdown.bus = Log2Hist::load_state(r)?;
-            breakdown.tail = Log2Hist::load_state(r)?;
-            breakdown.total = Log2Hist::load_state(r)?;
-        }
-        Ok(())
-    }
-
-    /// Serializes both breakdowns plus span counters as JSON.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"completed\":{},\"never_issued\":{},\"reissues\":{},\"open\":{},\"read\":{},\"write\":{}}}",
-            self.completed,
-            self.never_issued,
-            self.reissues,
-            self.open.len(),
-            self.reads.to_json(),
-            self.writes.to_json()
-        )
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn components_sum_to_total() {
-        let mut t = SpanTracker::new();
-        t.on_enqueued(1, true, 100);
-        t.on_issued(1, 130, 160, 168);
-        t.on_completed(1, 172);
-        let r = &t.reads;
-        assert_eq!(r.queue.sum(), 30);
-        assert_eq!(r.retry.sum(), 0);
-        assert_eq!(r.bank.sum(), 30);
-        assert_eq!(r.bus.sum(), 8);
-        assert_eq!(r.tail.sum(), 4);
-        assert_eq!(r.total.sum(), 72);
-        assert_eq!(
-            r.queue.sum() + r.retry.sum() + r.bank.sum() + r.bus.sum() + r.tail.sum(),
-            r.total.sum()
-        );
-    }
-
-    #[test]
-    fn reissue_lands_in_retry() {
-        let mut t = SpanTracker::new();
-        t.on_enqueued(7, false, 0);
-        t.on_issued(7, 10, 15, 20);
-        t.on_issued(7, 50, 55, 60); // re-issued after verify failure
-        t.on_completed(7, 80);
-        assert_eq!(t.reissues, 1);
-        let w = &t.writes;
-        assert_eq!(w.queue.sum(), 10);
-        assert_eq!(w.retry.sum(), 40);
-        assert_eq!(w.bank.sum(), 5);
-        assert_eq!(w.bus.sum(), 5);
-        assert_eq!(w.tail.sum(), 20);
-        assert_eq!(w.total.sum(), 80);
-    }
-
-    #[test]
-    fn forwarded_request_is_pure_queueing() {
-        let mut t = SpanTracker::new();
-        t.on_enqueued(3, true, 42);
-        t.on_completed(3, 42); // store-to-load forwarded, same cycle
-        assert_eq!(t.never_issued, 1);
-        assert_eq!(t.reads.queue.count(), 1);
-        assert_eq!(t.reads.queue.sum(), 0);
-        assert_eq!(t.reads.total.counts()[0], 1); // exercises bucket 0
-    }
-
-    #[test]
-    fn unknown_completion_is_ignored() {
-        let mut t = SpanTracker::new();
-        t.on_completed(99, 10);
-        t.on_issued(99, 5, 6, 7);
-        assert_eq!(t.completed, 0);
-        assert_eq!(t.open_count(), 0);
+    ) -> Result<Self, fgnvm_types::SnapshotError> {
+        Ok(LatencyBreakdown {
+            queue: Log2Hist::load_state(r)?,
+            retry: Log2Hist::load_state(r)?,
+            bank: Log2Hist::load_state(r)?,
+            bus: Log2Hist::load_state(r)?,
+            tail: Log2Hist::load_state(r)?,
+            total: Log2Hist::load_state(r)?,
+        })
     }
 }

@@ -189,7 +189,11 @@ mod tests {
     fn audit_reports_the_three_ceilings_side_by_side() {
         let out = audit(&SystemConfig::fgnvm(8, 2).unwrap(), "fgnvm-8x2", &quick()).unwrap();
         assert!(out.issues > 0);
-        assert!(out.invariant_failures.is_empty(), "{:?}", out.invariant_failures);
+        assert!(
+            out.invariant_failures.is_empty(),
+            "{:?}",
+            out.invariant_failures
+        );
         let rendered = out.summary.render();
         assert!(rendered.contains("realized issue rate"));
         assert!(rendered.contains("measured opportunity ceiling"));
@@ -210,7 +214,11 @@ mod tests {
         // so the ceiling is >= 1.0 and the invariant must still hold.
         let out = audit(&SystemConfig::baseline(), "baseline", &quick()).unwrap();
         assert!(out.issues > 0);
-        assert!(out.invariant_failures.is_empty(), "{:?}", out.invariant_failures);
+        assert!(
+            out.invariant_failures.is_empty(),
+            "{:?}",
+            out.invariant_failures
+        );
         assert!(out.audit_json.contains("\"measured_opportunity_ceiling\":"));
         let missed_grid = out
             .audit_ascii

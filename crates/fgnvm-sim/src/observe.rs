@@ -151,8 +151,11 @@ fn summary_table(memory: &MemorySystem, result: &fgnvm_cpu::CoreResult, obs: &Ob
             stats.write_latency_percentile(0.99)
         ),
     );
-    row("spans completed", obs.spans.completed.to_string());
-    row("spans never issued", obs.spans.never_issued.to_string());
+    row("spans completed", obs.attribution.completed().to_string());
+    row(
+        "spans never issued",
+        obs.attribution.never_issued.to_string(),
+    );
     row("tile conflicts", obs.heatmap.total_conflicts().to_string());
     row(
         "tile conflict cycles",
@@ -206,7 +209,7 @@ mod tests {
             .starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
         assert!(out.trace_json.contains("\"ph\":\"X\""));
         // Metrics JSON carries the registry, the five-component latency
-        // breakdown, and the heatmap.
+        // breakdown derived from attribution, and the heatmap.
         assert!(out.metrics_json.starts_with("{\"counters\":{"));
         assert!(out.metrics_json.contains("\"mem.completed_reads\""));
         assert!(out.metrics_json.contains("\"cpu.ipc\""));

@@ -1019,10 +1019,7 @@ mod tests {
         assert!(out.decomposition_ascii.contains("stall attribution"));
         // Six Amdahl scenarios plus the measured-opportunity row.
         assert_eq!(out.whatif_table.row_count(), 7);
-        assert!(out
-            .whatif_table
-            .render()
-            .contains("measured-opportunity"));
+        assert!(out.whatif_table.render().contains("measured-opportunity"));
         for r in &out.records {
             assert!(r.metrics.contains_key("audit_opportunity_ceiling"));
         }

@@ -41,7 +41,14 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"FGNVMCK1";
 /// v4: issue audit — the observer section gained an optional scheduler
 /// decision-audit log and telemetry windows gained the per-window
 /// co-issue opportunity counter.
-pub const SNAPSHOT_VERSION: u32 = 4;
+///
+/// v5: the observer section lost its separate span tracker; the
+/// attribution section's open requests gained their first-issue,
+/// last-issue and data-start cycles, and the section gained the
+/// five-part latency breakdowns and the never-issued and re-issue
+/// counters. The checksum trailer is now textbook FNV-1a (prime
+/// `0x100_0000_01b3`).
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 /// Why a snapshot could not be decoded.
 ///
@@ -111,7 +118,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
         hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x1000_0000_01b3);
+        hash = hash.wrapping_mul(0x100_0000_01b3);
     }
     hash
 }
@@ -495,6 +502,14 @@ mod tests {
             // Every truncation yields a structured error, never a panic.
             let _ = err.to_string();
         }
+    }
+
+    #[test]
+    fn checksum_is_textbook_fnv1a() {
+        // Published FNV-1a 64 test vectors.
+        assert_eq!(fnv1a64(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a64(b"foobar"), 0x8594_4171_f739_67e8);
     }
 
     #[test]

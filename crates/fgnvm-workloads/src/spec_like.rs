@@ -15,6 +15,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use fgnvm_cpu::Trace;
+use fgnvm_types::fnv1a64;
 use fgnvm_types::geometry::Geometry;
 use fgnvm_types::request::Op;
 
@@ -117,7 +118,8 @@ impl Profile {
         seed: u64,
         ops: usize,
     ) -> Trace {
-        let mut builder = PatternBuilder::new(geometry, seed ^ fxhash(self.name));
+        // Hashing the profile name decorrelates the per-profile seeds.
+        let mut builder = PatternBuilder::new(geometry, seed ^ fnv1a64(self.name.as_bytes()));
         let banks = geometry.banks_per_rank();
         let lines = geometry.lines_per_row();
         let footprint = self.footprint_rows.min(geometry.rows_per_bank());
@@ -168,13 +170,6 @@ impl Profile {
         }
         Trace::new(self.name, records)
     }
-}
-
-/// Tiny deterministic string hash to decorrelate per-profile seeds.
-fn fxhash(s: &str) -> u64 {
-    s.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3)
-    })
 }
 
 /// The twelve memory-intensive SPEC2006-like profiles used throughout the

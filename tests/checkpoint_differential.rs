@@ -17,7 +17,7 @@ use std::path::PathBuf;
 use fgnvm_mem::MemorySystem;
 use fgnvm_sim::{AdmissionPolicy, ServeConfig};
 use fgnvm_types::config::SystemConfig;
-use fgnvm_types::{fnv1a64, Completion, Cycle, Op, PhysAddr, SimError};
+use fgnvm_types::{fnv1a64, splitmix64, Completion, Cycle, Op, PhysAddr, SimError};
 
 /// Every built-in preset plus every parameter file shipped in `configs/`
 /// (including the faulty one, so the fault/remap/wear tables are
@@ -80,14 +80,8 @@ fn run_digest(config: SystemConfig, fast_forward: bool, mut kill_cycle: Option<u
     let lines = config.geometry.capacity_bytes() / line_bytes;
     let mut completions: Vec<Completion> = Vec::new();
     let mut state = 0xfeed_f00d_u64;
-    let mut next = move || {
-        // splitmix64, inlined so the trace is a pure function of the seed.
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
+    // The trace is a pure function of the seed.
+    let mut next = move || splitmix64(&mut state);
     for _ in 0..96 {
         let op = if next() % 3 == 0 { Op::Write } else { Op::Read };
         let line = next() % lines.clamp(1, 512);
@@ -180,13 +174,7 @@ fn run_audit_json(config: SystemConfig, fast_forward: bool) -> String {
     let lines = config.geometry.capacity_bytes() / line_bytes;
     let mut completions: Vec<Completion> = Vec::new();
     let mut state = 0xfeed_f00d_u64;
-    let mut next = move || {
-        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    };
+    let mut next = move || splitmix64(&mut state);
     for _ in 0..96 {
         let op = if next() % 3 == 0 { Op::Write } else { Op::Read };
         let line = next() % lines.clamp(1, 512);

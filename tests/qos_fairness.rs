@@ -230,7 +230,10 @@ fn qos_served_counters_survive_a_mid_drain_snapshot() {
     );
     let (straight_tenants, straight_blob) = drive(None);
     assert!(
-        straight_tenants.iter().take(3).all(|t| t.completed_reads > 0),
+        straight_tenants
+            .iter()
+            .take(3)
+            .all(|t| t.completed_reads > 0),
         "every tenant must see service in the reference run"
     );
     for kill_after in [drain_len / 8, drain_len / 2, drain_len * 7 / 8] {
