@@ -9,14 +9,14 @@
 //! enqueue/drain waves of the same shape must perform **zero** heap
 //! allocations and **zero** reallocations.
 //!
-//! The armed flag is thread-local (const-initialized, so reading it never
-//! itself allocates or registers a destructor): only allocations made by
-//! the test's own thread count, keeping libtest's harness threads from
+//! The armed flag and the tally are thread-local (const-initialized, so
+//! touching them never itself allocates or registers a destructor): only
+//! allocations made by a test's own thread count, keeping libtest's
+//! harness threads and the other test, which runs concurrently, from
 //! poisoning the tally.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 
 use fgnvm_mem::MemorySystem;
 use fgnvm_types::config::SystemConfig;
@@ -31,18 +31,18 @@ struct CountingAlloc;
 
 thread_local! {
     static ARMED: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
 }
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
 
-fn armed() -> bool {
-    ARMED.with(Cell::get)
+fn count_if_armed() {
+    if ARMED.with(Cell::get) {
+        ALLOCS.with(|n| n.set(n.get() + 1));
+    }
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if armed() {
-            ALLOCS.fetch_add(1, Relaxed);
-        }
+        count_if_armed();
         unsafe { System.alloc(layout) }
     }
 
@@ -51,9 +51,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if armed() {
-            ALLOCS.fetch_add(1, Relaxed);
-        }
+        count_if_armed();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -98,7 +96,7 @@ fn fast_forward_steady_state_allocates_nothing() {
     out.clear();
 
     // Armed: ten more identical waves must never touch the allocator.
-    ALLOCS.store(0, Relaxed);
+    ALLOCS.with(|n| n.set(0));
     ARMED.with(|a| a.set(true));
     for _ in 0..10 {
         wave(&mut mem, &mut id, &mut out);
@@ -106,10 +104,50 @@ fn fast_forward_steady_state_allocates_nothing() {
     }
     ARMED.with(|a| a.set(false));
 
-    let allocs = ALLOCS.load(Relaxed);
+    let allocs = ALLOCS.with(Cell::get);
     assert_eq!(
         allocs, 0,
         "steady-state fast-forward performed {allocs} heap allocations"
     );
     assert!(id >= 12 * 32, "waves did not run");
+}
+
+/// Bits needed to hold `n`: how many times an append-only buffer that
+/// started small has doubled by the time it holds `n` entries.
+fn doublings(n: usize) -> u64 {
+    u64::from(usize::BITS - n.leading_zeros())
+}
+
+#[test]
+fn observer_hooks_do_not_allocate_per_command() {
+    let mut mem = MemorySystem::new(SystemConfig::fgnvm(8, 2).unwrap()).unwrap();
+    mem.set_fast_forward(true);
+    mem.enable_observer();
+    let mut id = 0u64;
+    let mut out = Vec::with_capacity(4096);
+    for _ in 0..2 {
+        wave(&mut mem, &mut id, &mut out);
+    }
+    out.clear();
+
+    ALLOCS.with(|n| n.set(0));
+    ARMED.with(|a| a.set(true));
+    for _ in 0..200 {
+        wave(&mut mem, &mut id, &mut out);
+        out.clear();
+    }
+    ARMED.with(|a| a.set(false));
+
+    // The per-request records and the trace buffer are append-only, so
+    // they may still double; nothing else may touch the heap.
+    let allocs = ALLOCS.with(Cell::get);
+    let obs = mem.observer().expect("observer enabled");
+    let commands = obs.trace.len();
+    assert!(commands >= 200 * 32, "waves did not issue");
+    let bound = 8 + doublings(obs.attribution.requests.len()) + doublings(commands);
+    assert!(
+        allocs <= bound,
+        "observer-on waves performed {allocs} heap allocations over {commands} trace \
+         events (bound {bound})"
+    );
 }

@@ -30,10 +30,13 @@
 //! output is bit-identical across stepping modes, like every other
 //! observer artifact. Pre-issue waits are classified by replaying the
 //! per-bank command history analytically (resource windows plus a
-//! reconstructed tFAW schedule), never by probing per-cycle state.
+//! reconstructed tFAW schedule), never by probing per-cycle state: one
+//! sweep over the edges of the windows and tFAW gates that overlap the
+//! wait.
 
 use std::collections::HashMap;
 
+use crate::bank_map::BankMap;
 use crate::json::number;
 use crate::span::LatencyBreakdown;
 use crate::{CommandIssue, InstantKind};
@@ -280,6 +283,65 @@ struct Window {
     cd_count: u32,
 }
 
+impl Window {
+    fn span(&self) -> u64 {
+        self.end.saturating_sub(self.at)
+    }
+}
+
+/// One bank's command history, pruned as requests retire.
+#[derive(Debug, Clone)]
+struct BankWindows {
+    windows: Vec<Window>,
+    /// An upper bound on every window's `end - at`: a window starting at
+    /// or before `w0 - max_span` ended by `w0`. Not serialized; rebuilt
+    /// from the windows on restore.
+    max_span: u64,
+    /// `windows` are in nondecreasing `at` order, as an in-order command
+    /// stream records them; only then can a dead prefix be skipped.
+    sorted: bool,
+}
+
+impl BankWindows {
+    fn new(windows: Vec<Window>) -> Self {
+        BankWindows {
+            max_span: windows.iter().map(Window::span).max().unwrap_or(0),
+            sorted: windows.windows(2).all(|p| p[0].at <= p[1].at),
+            windows,
+        }
+    }
+
+    fn push(&mut self, w: Window) {
+        self.sorted &= self.windows.last().is_none_or(|last| last.at <= w.at);
+        self.max_span = self.max_span.max(w.span());
+        self.windows.push(w);
+    }
+
+    /// The windows that can still end after `w0`.
+    fn live_after(&self, w0: u64) -> &[Window] {
+        if !self.sorted {
+            return &self.windows;
+        }
+        let dead = self
+            .windows
+            .partition_point(|w| w.at.saturating_add(self.max_span) <= w0);
+        &self.windows[dead..]
+    }
+}
+
+/// Blocking levels of a pre-issue wait, weakest first; a cycle no level
+/// covers is queueing.
+const LEVELS: [StallCause; 4] = [
+    StallCause::TfawWindow,
+    StallCause::CdConflict,
+    StallCause::SagConflict,
+    StallCause::WriteBlock,
+];
+
+/// One edge of the classifier's sweep: at `pos`, a blocker of level
+/// index `level` starts (`opens`) or stops.
+type Edge = (u64, u8, bool);
+
 #[derive(Debug, Clone, Copy)]
 struct OpenReq {
     arrival: u64,
@@ -301,10 +363,12 @@ struct OpenReq {
 pub struct Attribution {
     params: AttributionParams,
     open: HashMap<u64, OpenReq>,
-    /// Per-(channel, bank) command history, pruned as requests retire.
-    windows: HashMap<(u32, u32), Vec<Window>>,
+    /// Per-(channel, bank) command history.
+    windows: BankMap<BankWindows>,
     /// Per-(channel, rank) activation start cycles (tFAW reconstruction).
-    acts: HashMap<(u32, u32), Vec<u64>>,
+    acts: BankMap<Vec<u64>>,
+    /// The classifier's edge buffer, reused across commands.
+    edges: Vec<Edge>,
     /// Aggregate over completed reads.
     pub reads: ClassTotals,
     /// Aggregate over completed writes.
@@ -373,7 +437,7 @@ impl Attribution {
     /// Hook: a command issued. Attributes the wait since the last mark and
     /// the command's own pre-burst and burst segments, then advances the
     /// mark to the burst end (the completion hook attributes the tail).
-    pub fn on_command(&mut self, cmd: &CommandIssue<'_>) {
+    pub fn on_command(&mut self, cmd: &CommandIssue) {
         self.last_wait = None;
         let rank = cmd
             .bank
@@ -387,13 +451,25 @@ impl Attribution {
                 StallCause::Service
             }
         };
-        if let Some(mut r) = self.open.remove(&cmd.id) {
+        if let Some(r) = self.open.get_mut(&cmd.id) {
             let w0 = r.mark;
             let at = cmd.at.max(w0);
             let before = r.cycles;
             if r.issues == 0 {
                 r.first_issue = at;
-                self.classify_wait(&mut r, cmd, rank, w0, at);
+                let acts = match self.params.t_faw {
+                    Some(_) if is_activation(cmd.kind) => self.acts.get((cmd.channel, rank)),
+                    _ => None,
+                };
+                classify_wait(
+                    &self.params,
+                    self.windows.get((cmd.channel, cmd.bank)),
+                    acts.map(Vec::as_slice),
+                    cmd,
+                    (w0, at),
+                    &mut self.edges,
+                    &mut r.cycles,
+                );
             } else {
                 // Re-issue after verify-budget exhaustion: the whole bounce
                 // (residual programming + requeue wait) is retry extension.
@@ -431,23 +507,22 @@ impl Attribution {
             r.mark = data_end;
             r.issues += 1;
             r.last_retries = cmd.retries;
-            self.open.insert(cmd.id, r);
         }
         // Record this command's occupancy window for later waiters.
         let end = cmd.completion.max(cmd.data_end);
-        let list = self.windows.entry((cmd.channel, cmd.bank)).or_default();
-        list.push(Window {
-            at: cmd.at,
-            end,
-            is_write: !cmd.is_read,
-            sag: cmd.sag,
-            cd_first: cmd.cd,
-            cd_count: cmd.cd_count.max(1),
-        });
-        if self.params.t_faw.is_some() && (cmd.kind == "activate" || cmd.kind == "underfetch") {
+        self.windows
+            .get_or_insert_with((cmd.channel, cmd.bank), || BankWindows::new(Vec::new()))
+            .push(Window {
+                at: cmd.at,
+                end,
+                is_write: !cmd.is_read,
+                sag: cmd.sag,
+                cd_first: cmd.cd,
+                cd_count: cmd.cd_count.max(1),
+            });
+        if self.params.t_faw.is_some() && is_activation(cmd.kind) {
             self.acts
-                .entry((cmd.channel, rank))
-                .or_default()
+                .get_or_insert_with((cmd.channel, rank), Vec::new)
                 .push(cmd.at);
         }
         self.prune(cmd.at);
@@ -552,15 +627,12 @@ impl Attribution {
             w.u32(r.issues);
             w.u32(r.last_retries);
         }
-        let mut keys: Vec<(u32, u32)> = self.windows.keys().copied().collect();
-        keys.sort_unstable();
-        w.usize(keys.len());
-        for key in keys {
-            let list = &self.windows[&key];
+        w.usize(self.windows.len());
+        for (key, list) in self.windows.iter() {
             w.u32(key.0);
             w.u32(key.1);
-            w.usize(list.len());
-            for win in list {
+            w.usize(list.windows.len());
+            for win in &list.windows {
                 w.u64(win.at);
                 w.u64(win.end);
                 w.bool(win.is_write);
@@ -569,11 +641,8 @@ impl Attribution {
                 w.u32(win.cd_count);
             }
         }
-        let mut keys: Vec<(u32, u32)> = self.acts.keys().copied().collect();
-        keys.sort_unstable();
-        w.usize(keys.len());
-        for key in keys {
-            let list = &self.acts[&key];
+        w.usize(self.acts.len());
+        for (key, list) in self.acts.iter() {
             w.u32(key.0);
             w.u32(key.1);
             w.usize(list.len());
@@ -640,7 +709,7 @@ impl Attribution {
             self.open.insert(id, req);
         }
         let n = r.usize()?;
-        self.windows = HashMap::with_capacity(n);
+        self.windows = BankMap::default();
         for _ in 0..n {
             let key = (r.u32()?, r.u32()?);
             let len = r.usize()?;
@@ -655,10 +724,10 @@ impl Attribution {
                     cd_count: r.u32()?,
                 });
             }
-            self.windows.insert(key, list);
+            self.windows.insert(key, BankWindows::new(list));
         }
         let n = r.usize()?;
-        self.acts = HashMap::with_capacity(n);
+        self.acts = BankMap::default();
         for _ in 0..n {
             let key = (r.u32()?, r.u32()?);
             let len = r.usize()?;
@@ -694,96 +763,12 @@ impl Attribution {
         Ok(())
     }
 
-    /// Partitions the pre-issue wait `[w0, w1)` among blocking causes.
-    ///
-    /// Causes are resolved per elementary segment with a fixed priority
-    /// (write-block > SAG > CD > tFAW > queue): when several resources
-    /// overlapped, the cycles go to the structurally strongest blocker, and
-    /// whatever no modeled resource covers is queueing.
-    fn classify_wait(
-        &mut self,
-        r: &mut OpenReq,
-        cmd: &CommandIssue<'_>,
-        rank: u32,
-        w0: u64,
-        w1: u64,
-    ) {
-        if w1 <= w0 {
-            return;
-        }
-        let p = self.params;
-        let empty: Vec<Window> = Vec::new();
-        let windows = self.windows.get(&(cmd.channel, cmd.bank)).unwrap_or(&empty);
-        let target_cd = (cmd.cd, cmd.cd_count.max(1));
-        // tFAW gate intervals: with four activations inside a rolling
-        // window, a fifth must wait until the oldest ages out.
-        let mut faw_gates: Vec<(u64, u64)> = Vec::new();
-        if let Some(t_faw) = p.t_faw {
-            if cmd.kind == "activate" || cmd.kind == "underfetch" {
-                if let Some(acts) = self.acts.get(&(cmd.channel, rank)) {
-                    for quad in acts.windows(4) {
-                        let open = quad[0] + t_faw;
-                        if open > quad[3] {
-                            faw_gates.push((quad[3], open));
-                        }
-                    }
-                }
-            }
-        }
-        // Elementary segment boundaries: every window/gate edge inside.
-        let mut cuts: Vec<u64> = vec![w0, w1];
-        for w in windows {
-            for b in [w.at, w.end] {
-                if b > w0 && b < w1 {
-                    cuts.push(b);
-                }
-            }
-        }
-        for (s, e) in &faw_gates {
-            for b in [*s, *e] {
-                if b > w0 && b < w1 {
-                    cuts.push(b);
-                }
-            }
-        }
-        cuts.sort_unstable();
-        cuts.dedup();
-        for seg in cuts.windows(2) {
-            let (s, e) = (seg[0], seg[1]);
-            let len = e - s;
-            let mut cause = StallCause::QueueWait;
-            if faw_gates.iter().any(|(gs, ge)| *gs < e && s < *ge) {
-                cause = StallCause::TfawWindow;
-            }
-            for w in windows {
-                if w.at >= e || w.end <= s {
-                    continue;
-                }
-                let tile_hit = p.serialized
-                    || w.sag == cmd.sag
-                    || cd_overlap(p.full_row_sense, (w.cd_first, w.cd_count), target_cd);
-                if w.is_write && (tile_hit || p.write_blocks_bank) {
-                    cause = StallCause::WriteBlock;
-                    break; // strongest cause; nothing can override it
-                }
-                if p.serialized || w.sag == cmd.sag {
-                    cause = StallCause::SagConflict;
-                } else if cd_overlap(p.full_row_sense, (w.cd_first, w.cd_count), target_cd)
-                    && cause != StallCause::SagConflict
-                {
-                    cause = StallCause::CdConflict;
-                }
-            }
-            r.cycles[cause as usize] += len;
-        }
-    }
-
     /// Drops history that can no longer affect any in-flight request: a
     /// window whose occupancy ended before every open request's mark (or
     /// before `now`, when nothing is open) can never cover a future wait.
     fn prune(&mut self, now: u64) {
         const KEEP: usize = 96;
-        let over = self.windows.values().any(|v| v.len() > KEEP)
+        let over = self.windows.values().any(|v| v.windows.len() > KEEP)
             || self.acts.values().any(|v| v.len() > KEEP);
         if !over {
             return;
@@ -797,7 +782,7 @@ impl Attribution {
             .min(now);
         let faw = self.params.t_faw.unwrap_or(0);
         for list in self.windows.values_mut() {
-            list.retain(|w| w.end > horizon);
+            list.windows.retain(|w| w.end > horizon);
         }
         for list in self.acts.values_mut() {
             // An activation still matters while its tFAW window can gate a
@@ -839,6 +824,95 @@ impl Attribution {
             self.write_spans.to_json()
         )
     }
+}
+
+/// True for plan kinds that activate a row (and so count towards tFAW).
+fn is_activation(kind: &str) -> bool {
+    kind == "activate" || kind == "underfetch"
+}
+
+/// The blocking level (index into [`LEVELS`]) a past window imposes on
+/// `cmd`, or `None` when it shares no resource with it.
+fn window_level(p: &AttributionParams, w: &Window, cmd: &CommandIssue) -> Option<u8> {
+    let sag_hit = p.serialized || w.sag == cmd.sag;
+    let cd_hit = cd_overlap(
+        p.full_row_sense,
+        (w.cd_first, w.cd_count),
+        (cmd.cd, cmd.cd_count.max(1)),
+    );
+    if w.is_write && (sag_hit || cd_hit || p.write_blocks_bank) {
+        Some(3) // write-block
+    } else if sag_hit {
+        Some(2) // sag-conflict
+    } else if cd_hit {
+        Some(1) // cd-conflict
+    } else {
+        None
+    }
+}
+
+/// Partitions the pre-issue wait `[w0, w1)` among blocking causes and adds
+/// it to `cycles`.
+///
+/// Every cycle goes to the strongest blocker covering it (write-block >
+/// SAG > CD > tFAW > queue): when several resources overlapped, the cycles
+/// go to the structurally strongest one, and whatever no modeled resource
+/// covers is queueing. `windows` is the bank's command history; `acts`,
+/// the rank's activation starts when `cmd` activates under tFAW. One sweep
+/// over the clipped blocker edges, sorted in the reused `edges` buffer,
+/// keeps a live count per level.
+fn classify_wait(
+    p: &AttributionParams,
+    windows: Option<&BankWindows>,
+    acts: Option<&[u64]>,
+    cmd: &CommandIssue,
+    (w0, w1): (u64, u64),
+    edges: &mut Vec<Edge>,
+    cycles: &mut [u64; BUCKETS],
+) {
+    if w1 <= w0 {
+        return;
+    }
+    edges.clear();
+    let mut blocker = |start: u64, end: u64, level: u8| {
+        let (start, end) = (start.max(w0), end.min(w1));
+        if start < end {
+            edges.push((start, level, true));
+            edges.push((end, level, false));
+        }
+    };
+    for w in windows.map_or(&[][..], |list| list.live_after(w0)) {
+        if let Some(level) = window_level(p, w, cmd) {
+            blocker(w.at, w.end, level);
+        }
+    }
+    if let (Some(t_faw), Some(acts)) = (p.t_faw, acts) {
+        // tFAW gate intervals: with four activations inside a rolling
+        // window, a fifth must wait until the oldest ages out.
+        for quad in acts.windows(4) {
+            blocker(quad[3], quad[0] + t_faw, 0);
+        }
+    }
+    edges.sort_unstable_by_key(|e| e.0);
+    let mut live = [0u32; LEVELS.len()];
+    let mut cursor = w0;
+    for &(pos, level, opens) in edges.iter() {
+        if pos > cursor {
+            let cause = live
+                .iter()
+                .rposition(|n| *n > 0)
+                .map_or(StallCause::QueueWait, |l| LEVELS[l]);
+            cycles[cause as usize] += pos - cursor;
+            cursor = pos;
+        }
+        if opens {
+            live[level as usize] += 1;
+        } else {
+            live[level as usize] -= 1;
+        }
+    }
+    // Every blocker closed by `w1`: the rest is queueing.
+    cycles[StallCause::QueueWait as usize] += w1 - cursor;
 }
 
 fn read_buckets(
@@ -988,7 +1062,7 @@ pub fn what_if_json(bounds: &[WhatIfBound]) -> String {
 mod tests {
     use super::*;
 
-    fn cmd(id: u64, at: u64) -> CommandIssue<'static> {
+    fn cmd(id: u64, at: u64) -> CommandIssue {
         CommandIssue {
             channel: 0,
             bank: 0,
@@ -1116,7 +1190,7 @@ mod tests {
     }
 
     /// A command bursting over `data_start..data_end`, with no bus push.
-    fn issue(id: u64, at: u64, data_start: u64, data_end: u64) -> CommandIssue<'static> {
+    fn issue(id: u64, at: u64, data_start: u64, data_end: u64) -> CommandIssue {
         CommandIssue {
             earliest_data: data_start,
             data_start,
@@ -1126,7 +1200,7 @@ mod tests {
         }
     }
 
-    fn write(id: u64, at: u64, data_start: u64, data_end: u64) -> CommandIssue<'static> {
+    fn write(id: u64, at: u64, data_start: u64, data_end: u64) -> CommandIssue {
         CommandIssue {
             is_read: false,
             kind: "write",
@@ -1214,6 +1288,196 @@ mod tests {
         assert_eq!(resumed.write_spans, straight.write_spans);
         assert_eq!(resumed.spans_json(), straight.spans_json());
         assert_eq!(resumed.to_json(), straight.to_json());
+    }
+
+    /// The segment-by-segment classifier the sweep replaced, kept as its
+    /// oracle: it cuts `[w0, w1)` at every window and tFAW-gate edge and
+    /// rescans the bank's whole history for every segment.
+    fn classify_wait_by_segments(
+        p: &AttributionParams,
+        windows: &[Window],
+        acts: Option<&[u64]>,
+        cmd: &CommandIssue,
+        w0: u64,
+        w1: u64,
+    ) -> [u64; BUCKETS] {
+        let mut cycles = [0; BUCKETS];
+        if w1 <= w0 {
+            return cycles;
+        }
+        let target_cd = (cmd.cd, cmd.cd_count.max(1));
+        let mut faw_gates: Vec<(u64, u64)> = Vec::new();
+        if let Some(t_faw) = p.t_faw {
+            if cmd.kind == "activate" || cmd.kind == "underfetch" {
+                if let Some(acts) = acts {
+                    for quad in acts.windows(4) {
+                        let open = quad[0] + t_faw;
+                        if open > quad[3] {
+                            faw_gates.push((quad[3], open));
+                        }
+                    }
+                }
+            }
+        }
+        let mut cuts: Vec<u64> = vec![w0, w1];
+        for w in windows {
+            for b in [w.at, w.end] {
+                if b > w0 && b < w1 {
+                    cuts.push(b);
+                }
+            }
+        }
+        for (s, e) in &faw_gates {
+            for b in [*s, *e] {
+                if b > w0 && b < w1 {
+                    cuts.push(b);
+                }
+            }
+        }
+        cuts.sort_unstable();
+        cuts.dedup();
+        for seg in cuts.windows(2) {
+            let (s, e) = (seg[0], seg[1]);
+            let mut cause = StallCause::QueueWait;
+            if faw_gates.iter().any(|(gs, ge)| *gs < e && s < *ge) {
+                cause = StallCause::TfawWindow;
+            }
+            for w in windows {
+                if w.at >= e || w.end <= s {
+                    continue;
+                }
+                let tile_hit = p.serialized
+                    || w.sag == cmd.sag
+                    || cd_overlap(p.full_row_sense, (w.cd_first, w.cd_count), target_cd);
+                if w.is_write && (tile_hit || p.write_blocks_bank) {
+                    cause = StallCause::WriteBlock;
+                    break;
+                }
+                if p.serialized || w.sag == cmd.sag {
+                    cause = StallCause::SagConflict;
+                } else if cd_overlap(p.full_row_sense, (w.cd_first, w.cd_count), target_cd)
+                    && cause != StallCause::SagConflict
+                {
+                    cause = StallCause::CdConflict;
+                }
+            }
+            cycles[cause as usize] += e - s;
+        }
+        cycles
+    }
+
+    /// A uniform draw below `n`.
+    fn below(rng: &mut u64, n: u64) -> u64 {
+        fgnvm_types::splitmix64(rng) % n
+    }
+
+    const KINDS: [&str; 4] = ["row-hit", "activate", "underfetch", "write"];
+
+    /// A random command on channel 0, bank `< 4`, issued at `at`.
+    fn random_cmd(rng: &mut u64, id: u64, at: u64) -> CommandIssue {
+        let kind = KINDS[below(rng, 4) as usize];
+        // Occasionally an inverted window (device end before issue).
+        let end = if below(rng, 20) == 0 {
+            at.saturating_sub(below(rng, 5))
+        } else {
+            at + below(rng, 120)
+        };
+        CommandIssue {
+            channel: 0,
+            bank: below(rng, 4) as u32,
+            id,
+            is_read: kind != "write",
+            kind,
+            arrival: at,
+            at,
+            earliest_data: at,
+            data_start: at,
+            data_end: end.min(at + 8),
+            completion: end,
+            row: 0,
+            sag: below(rng, 4) as u32,
+            cd: below(rng, 4) as u32,
+            cd_count: below(rng, 3) as u32,
+            retries: 0,
+        }
+    }
+
+    /// Classifies the wait `[w0, cmd.at)` through the tracker's own
+    /// `on_command` path (a fresh request marked at `w0`, a zero-length
+    /// pre-burst), and through the oracle over the same history.
+    fn both_ways(
+        a: &mut Attribution,
+        cmd: &CommandIssue,
+        w0: u64,
+    ) -> ([u64; BUCKETS], [u64; BUCKETS]) {
+        let cmd = &CommandIssue {
+            earliest_data: cmd.at,
+            data_start: cmd.at,
+            data_end: cmd.at,
+            ..*cmd
+        };
+        let p = a.params;
+        let rank = cmd.bank.checked_div(p.banks_per_rank).unwrap_or(0);
+        let windows = a
+            .windows
+            .get((cmd.channel, cmd.bank))
+            .map(|l| l.windows.clone())
+            .unwrap_or_default();
+        let acts = a.acts.get((cmd.channel, rank)).cloned();
+        let expected = classify_wait_by_segments(&p, &windows, acts.as_deref(), cmd, w0, cmd.at);
+        a.on_enqueued(cmd.id, cmd.is_read, 0, w0);
+        a.on_command(cmd);
+        (a.open[&cmd.id].cycles, expected)
+    }
+
+    #[test]
+    fn sweep_matches_the_segment_oracle() {
+        let mut rng = 0x5eed_u64;
+        let mut skipped = 0;
+        for case in 0..1200u64 {
+            let params = AttributionParams {
+                serialized: case & 1 != 0,
+                full_row_sense: case & 2 != 0,
+                write_blocks_bank: case & 4 != 0,
+                t_faw: (case & 8 != 0).then(|| 10 + below(&mut rng, 60)),
+                banks_per_rank: 1 + below(&mut rng, 4) as u32,
+                ..AttributionParams::bare(4, 4)
+            };
+            // Command histories of varied length (past the prune threshold
+            // for some), usually in issue order, sometimes not.
+            let in_order = below(&mut rng, 8) != 0;
+            let len = below(&mut rng, 240);
+            let mut a = Attribution::new(params);
+            let mut at = 0;
+            for id in 0..len {
+                at = if in_order {
+                    at + below(&mut rng, 12)
+                } else {
+                    below(&mut rng, len * 6 + 1)
+                };
+                let cmd = random_cmd(&mut rng, 1_000_000 + id, at);
+                a.on_command(&cmd);
+            }
+            let mut bytes = fgnvm_types::SnapshotWriter::new();
+            a.save_state(&mut bytes);
+            let bytes = bytes.finish();
+            let mut restored = Attribution::new(params);
+            let mut r = fgnvm_types::SnapshotReader::new(&bytes).expect("readable");
+            restored.load_state(&mut r).expect("decodes");
+            for q in 0..4 {
+                let w1 = at + below(&mut rng, 40);
+                let w0 = w1.saturating_sub(below(&mut rng, 200));
+                let cmd = random_cmd(&mut rng, q, w1);
+                if let Some(list) = a.windows.get((0, cmd.bank)) {
+                    skipped += list.windows.len() - list.live_after(w0).len();
+                }
+                for (tracker, label) in [(&mut a, "live"), (&mut restored, "restored")] {
+                    let (got, expected) = both_ways(tracker, &cmd, w0);
+                    assert_eq!(got, expected, "case {case} query {q} ({label}): {params:?}");
+                }
+            }
+        }
+        assert!(skipped > 0, "no query skipped a dead window prefix");
     }
 
     #[test]

@@ -352,7 +352,7 @@ impl FlightRecorder {
 
     /// Records a command issue (and its pre-issue block, when the
     /// attribution engine reports a non-empty wait).
-    pub fn on_command(&mut self, cmd: &crate::CommandIssue<'_>, wait: Option<(StallCause, u64)>) {
+    pub fn on_command(&mut self, cmd: &crate::CommandIssue, wait: Option<(StallCause, u64)>) {
         if let Some((cause, cycles)) = wait {
             self.push(FlightEvent::Block {
                 at: cmd.at,

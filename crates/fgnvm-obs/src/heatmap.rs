@@ -13,7 +13,7 @@
 //! retries), which is exactly the asymmetry the write-pausing machinery
 //! exploits.
 
-use std::collections::HashMap;
+use crate::bank_map::BankMap;
 
 /// Aggregated activity of one (SAG, CD) tile position across all banks.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -46,7 +46,7 @@ pub struct TileHeatmap {
     sags: u32,
     cds: u32,
     cells: Vec<TileCell>,
-    clocks: HashMap<(u32, u32), ResourceClock>,
+    clocks: BankMap<ResourceClock>,
 }
 
 impl TileHeatmap {
@@ -58,7 +58,7 @@ impl TileHeatmap {
             sags,
             cds,
             cells: vec![TileCell::default(); (sags * cds) as usize],
-            clocks: HashMap::new(),
+            clocks: BankMap::default(),
         }
     }
 
@@ -107,8 +107,7 @@ impl TileHeatmap {
         let (sags, cds) = (self.sags as usize, self.cds as usize);
         let clock = self
             .clocks
-            .entry((channel, bank))
-            .or_insert_with(|| ResourceClock {
+            .get_or_insert_with((channel, bank), || ResourceClock {
                 sag_busy_until: vec![0; sags],
                 cd_busy_until: vec![0; cds],
             });
@@ -331,11 +330,8 @@ impl TileHeatmap {
             w.u64(c.conflict_cycles);
             w.u64(c.write_busy_cycles);
         }
-        let mut keys: Vec<(u32, u32)> = self.clocks.keys().copied().collect();
-        keys.sort_unstable();
-        w.usize(keys.len());
-        for key in keys {
-            let clock = &self.clocks[&key];
+        w.usize(self.clocks.len());
+        for (key, clock) in self.clocks.iter() {
             w.u32(key.0);
             w.u32(key.1);
             w.usize(clock.sag_busy_until.len());
@@ -379,7 +375,7 @@ impl TileHeatmap {
             c.write_busy_cycles = r.u64()?;
         }
         let n = r.usize()?;
-        self.clocks = HashMap::with_capacity(n);
+        self.clocks = BankMap::default();
         for _ in 0..n {
             let key = (r.u32()?, r.u32()?);
             let n_sag = r.usize()?;

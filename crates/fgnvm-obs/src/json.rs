@@ -11,6 +11,13 @@
 /// ```
 pub fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    quote_into(&mut out, s);
+    out
+}
+
+/// Appends `s` to `out` as a JSON string literal, including the
+/// surrounding quotes: [`quote`] without the allocation.
+pub fn quote_into(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -23,7 +30,6 @@ pub fn quote(s: &str) -> String {
         }
     }
     out.push('"');
-    out
 }
 
 /// Formats an `f64` for JSON output: finite values use Rust's shortest

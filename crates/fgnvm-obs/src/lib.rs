@@ -28,6 +28,7 @@
 
 pub mod attribution;
 pub mod audit;
+mod bank_map;
 pub mod flight;
 pub mod heatmap;
 pub mod hist;
@@ -51,15 +52,16 @@ pub use registry::{CounterHandle, GaugeHandle, MetricValue, Registry};
 pub use span::LatencyBreakdown;
 pub use table::TableData;
 pub use timeseries::{TenantWindow, TimeSeries, WindowAgg};
-pub use trace::TraceSink;
+pub use trace::{SliceArgs, TraceSink};
 
 /// Everything the observer needs to know about one issued memory command.
 ///
 /// All timestamps are raw simulator cycles. `kind` is the bank's plan-kind
 /// label (`"row-hit"`, `"activate"`, `"underfetch"`, `"write"`), passed as
-/// a string so this crate stays independent of the bank model.
+/// a static string so this crate stays independent of the bank model and
+/// the trace sink can keep it without copying.
 #[derive(Debug, Clone, Copy)]
-pub struct CommandIssue<'a> {
+pub struct CommandIssue {
     /// Memory channel the command issued on.
     pub channel: u32,
     /// Bank index within the channel.
@@ -69,7 +71,7 @@ pub struct CommandIssue<'a> {
     /// True for reads.
     pub is_read: bool,
     /// Plan-kind label.
-    pub kind: &'a str,
+    pub kind: &'static str,
     /// Cycle the request arrived in the system.
     pub arrival: u64,
     /// Cycle the command issued.
@@ -296,7 +298,7 @@ impl Observer {
     }
 
     /// Hook: a command issued to a bank.
-    pub fn on_command(&mut self, cmd: &CommandIssue<'_>) {
+    pub fn on_command(&mut self, cmd: &CommandIssue) {
         self.attribution.on_command(cmd);
         let wait = self.attribution.take_last_wait();
         if let Some(ts) = &mut self.timeseries {
@@ -322,20 +324,19 @@ impl Observer {
         } else {
             cmd.completion
         };
-        let args = [
-            format!("\"id\":{}", cmd.id),
-            format!("\"row\":{}", cmd.row),
-            format!("\"sag\":{}", cmd.sag),
-            format!("\"cd\":{}", cmd.cd),
-            format!("\"retries\":{}", cmd.retries),
-        ];
         self.trace.slice(
             cmd.channel,
             cmd.bank,
             cmd.kind,
             cmd.at,
             end.saturating_sub(cmd.at),
-            &args,
+            SliceArgs {
+                id: cmd.id,
+                row: cmd.row,
+                sag: cmd.sag,
+                cd: cmd.cd,
+                retries: cmd.retries,
+            },
         );
     }
 
@@ -529,7 +530,7 @@ impl Observer {
 mod tests {
     use super::*;
 
-    fn issue(id: u64, at: u64) -> CommandIssue<'static> {
+    fn issue(id: u64, at: u64) -> CommandIssue {
         CommandIssue {
             channel: 0,
             bank: 0,
