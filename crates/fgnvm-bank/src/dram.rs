@@ -156,12 +156,6 @@ impl DramBank {
 
 impl Bank for DramBank {
     fn plan(&self, access: &Access, now: Cycle) -> Result<AccessPlan, Blocked> {
-        if let Some(until) = self.refresh_block(now) {
-            return Err(Blocked {
-                reason: BlockReason::BankBusy,
-                retry_at: until,
-            });
-        }
         let t = &self.timing;
         let row_open = self.open_row == Some(access.row);
         let (ready, kind, lead) = if row_open {
@@ -185,15 +179,24 @@ impl Bank for DramBank {
             };
             (self.row_switch_ready(), kind, lead)
         };
-        if now < ready {
-            let reason = if row_open {
+        let refreshing = self.refresh_block(now).is_some();
+        if refreshing || now < ready {
+            let reason = if refreshing {
+                BlockReason::BankBusy
+            } else if row_open {
                 BlockReason::ColumnPath
             } else {
                 BlockReason::RowLocked
             };
+            // The access needs its own gate *and* the bank out of refresh:
+            // the first instant from its gate on outside every window
+            // (windows never abut, as tREFI exceeds tRFC). Skipping past a
+            // window the gate lands in keeps the retry stable as the clock
+            // enters that window (see `Bank::plan`).
+            let gate = now.max(ready);
             return Err(Blocked {
                 reason,
-                retry_at: ready,
+                retry_at: self.refresh_block(gate).unwrap_or(gate),
             });
         }
         Ok(AccessPlan {

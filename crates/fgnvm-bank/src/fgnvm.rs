@@ -112,10 +112,11 @@ impl TryFrom<BankModel> for Modes {
 
 /// Per-subarray-group FSM state (the row-address latch plus sensing
 /// bookkeeping) in struct-of-arrays layout: each field is a parallel array
-/// indexed by SAG. The fast-forward hot loops — the `next_ready_hint`
-/// min-lock sweep and the controller's gate pre-check behind it — scan one
-/// field across *all* SAGs, so packing each field contiguously keeps those
-/// sweeps on dense cache lines instead of striding through per-SAG records.
+/// indexed by SAG. The per-commit sweeps — slice eviction across every
+/// SAG's `sensed` mask and the min-lock refresh of the bank's cached
+/// readiness floor — scan one field across *all* SAGs, so packing each
+/// field contiguously keeps them on dense cache lines instead of striding
+/// through per-SAG records.
 #[derive(Debug, Clone)]
 struct SagArena {
     /// Row selected by each SAG's wordline, if any.
@@ -222,6 +223,13 @@ pub struct FgnvmBank {
     max_completion: Cycle,
     /// Latest completion of any committed write (read-under-write stats).
     max_write_completion: Cycle,
+    /// Earliest instant any access could issue, ignoring `now`: the value
+    /// [`Bank::next_ready_hint`] returns before clamping to the query time.
+    /// It derives only from state that `commit`, `load_state` and
+    /// `with_write_pausing` move, so it is re-swept there
+    /// ([`ready_floor_sweep`](FgnvmBank::ready_floor_sweep)) instead of on
+    /// every query.
+    ready_floor: Cycle,
     /// Device fault injector, when the reliability layer is enabled.
     faults: Option<FaultModel>,
     stats: BankStats,
@@ -268,6 +276,7 @@ impl FgnvmBank {
             write_block_until: Cycle::ZERO,
             max_completion: Cycle::ZERO,
             max_write_completion: Cycle::ZERO,
+            ready_floor: Cycle::ZERO,
             faults: None,
             stats: BankStats::new(),
         })
@@ -294,7 +303,29 @@ impl FgnvmBank {
     /// (its cells are mid-program).
     pub fn with_write_pausing(mut self, enabled: bool) -> Self {
         self.write_pausing = enabled;
+        self.ready_floor = self.ready_floor_sweep();
         self
+    }
+
+    /// The readiness floor swept from the bank state: a lower bound on the
+    /// issue instant of every access, from the gates `plan` applies.
+    /// `serial_until`, `write_block_until`, and (when the column path is
+    /// shared) `next_col` gate unconditionally, so the floor may sit at
+    /// their max. Per-resource gates differ per access, so only the min
+    /// across a resource class may be added — and only without write
+    /// pausing, since a pausing read may bypass its SAG lock and the
+    /// paused write's CD I/O (that is the point of the pause).
+    fn ready_floor_sweep(&self) -> Cycle {
+        let mut floor = self.serial_until.max(self.write_block_until);
+        if self.shared_column_path {
+            floor = floor.max(self.next_col);
+        }
+        if !self.write_pausing {
+            let min_lock = self.sags.lock.iter().copied().min().unwrap_or(Cycle::ZERO);
+            let min_io = self.cd_io_free.iter().copied().min().unwrap_or(Cycle::ZERO);
+            floor = floor.max(min_lock).max(min_io);
+        }
+        floor
     }
 
     /// True if `access` is a read that would pause an in-flight write in
@@ -467,10 +498,11 @@ impl GateSet {
     }
 }
 
-impl Bank for FgnvmBank {
-    fn plan(&self, access: &Access, now: Cycle) -> Result<AccessPlan, Blocked> {
+impl FgnvmBank {
+    /// `plan` along the path `pausing` selects: a pausing read skips the
+    /// paused write's SAG lock and CD I/O but pays the pause overhead.
+    fn plan_path(&self, access: &Access, now: Cycle, pausing: bool) -> Result<AccessPlan, Blocked> {
         let t = &self.timing;
-        let pausing = self.pauses_write(access, now);
         // Every gate the chosen path consults is gathered into `gates` and
         // checked once: a blocked plan therefore reports the *latest*
         // violated gate as `retry_at` (still a sound lower bound — every
@@ -567,6 +599,32 @@ impl Bank for FgnvmBank {
                     sense_bits: 0,
                 })
             }
+        }
+    }
+}
+
+impl Bank for FgnvmBank {
+    fn plan(&self, access: &Access, now: Cycle) -> Result<AccessPlan, Blocked> {
+        let pausing = self.pauses_write(access, now);
+        match self.plan_path(access, now, pausing) {
+            // The read may pause the write only while more than
+            // PAUSE_MIN_REMAINING of it is left. If the pausing path cannot
+            // clear before then, the read will have to wait the write out:
+            // report the non-pausing path's retry, so the verdict does not
+            // move as the clock crosses the threshold (see `Bank::plan`).
+            Err(blocked)
+                if pausing
+                    && blocked.retry_at + PAUSE_MIN_REMAINING
+                        >= self.sags.lock[access.coord.sag as usize] =>
+            {
+                // The unpaused read waits on the SAG lock, so it is blocked.
+                let unpaused = self.plan_path(access, now, false).err();
+                Err(Blocked {
+                    reason: blocked.reason,
+                    retry_at: unpaused.map_or(blocked.retry_at, |b| b.retry_at),
+                })
+            }
+            verdict => verdict,
         }
     }
 
@@ -739,6 +797,7 @@ impl Bank for FgnvmBank {
             self.serial_until = self.serial_until.max(completion);
         }
         self.max_completion = self.max_completion.max(completion);
+        self.ready_floor = self.ready_floor_sweep();
         Issued {
             data_start,
             data_end,
@@ -754,27 +813,9 @@ impl Bank for FgnvmBank {
     }
 
     fn next_ready_hint(&self, now: Cycle) -> Cycle {
-        // A lower bound on the earliest instant at which *any* access could
-        // issue, built from the gates `plan` applies to every access:
-        // `serial_until`, `write_block_until`, and (when the column path is
-        // shared) `next_col` gate unconditionally, so the hint may sit at
-        // their max. Per-resource gates differ per access, so only the min
-        // across a resource class may be added.
-        let mut hint = self.serial_until.max(self.write_block_until);
-        if self.shared_column_path {
-            hint = hint.max(self.next_col);
-        }
-        if !self.write_pausing {
-            // Without write pausing every access also waits on its SAG's
-            // write lock and its CDs' I/O; the min over each class bounds
-            // every concrete access from below. With pausing enabled a read
-            // may bypass both (that is the point of the pause), so neither
-            // may raise the hint.
-            let min_lock = self.sags.lock.iter().copied().min().unwrap_or(Cycle::ZERO);
-            let min_io = self.cd_io_free.iter().copied().min().unwrap_or(Cycle::ZERO);
-            hint = hint.max(min_lock).max(min_io);
-        }
-        hint.max(now)
+        // The cached floor is exactly what a fresh sweep would produce: it
+        // is re-swept wherever its inputs move (see `ready_floor`).
+        self.ready_floor.max(now)
     }
 
     fn plan_class(&self, access: &Access) -> u128 {
@@ -887,7 +928,18 @@ impl Bank for FgnvmBank {
             model.load_state(r)?;
         }
         self.stats = BankStats::load_state(r)?;
+        self.ready_floor = self.ready_floor_sweep();
         Ok(())
+    }
+}
+
+#[cfg(test)]
+impl FgnvmBank {
+    /// The readiness hint as a fresh sweep over every SAG lock and CD I/O
+    /// window on each query — what `next_ready_hint` computed before the
+    /// floor was cached. The cached hint must equal it after every commit.
+    fn next_ready_hint_reference(&self, now: Cycle) -> Cycle {
+        self.ready_floor_sweep().max(now)
     }
 }
 
@@ -896,6 +948,7 @@ mod tests {
     use super::*;
     use fgnvm_types::address::TileCoord;
     use fgnvm_types::TimingConfig;
+    use proptest::prelude::*;
 
     fn geom(sags: u32, cds: u32) -> Geometry {
         Geometry::builder().sags(sags).cds(cds).build().unwrap()
@@ -1379,5 +1432,97 @@ mod tests {
         let hit = access(Op::Read, &g, 0, 5);
         let ph = b.plan(&hit, iw.completion).unwrap();
         assert_eq!(ph.kind, PlanKind::RowHit);
+    }
+
+    /// One random step of a plan/commit sequence: the access (op, SAG, row
+    /// within the SAG, CD), how long to wait before planning it, and how
+    /// far the controller delays the data burst past its earliest slot.
+    type Step = (bool, u32, u32, u32, u64, u64);
+
+    fn step_strategy() -> impl Strategy<Value = Step> {
+        (any::<bool>(), 0u32..4, 0u32..3, 0u32..4, 0u64..40, 0u64..6)
+    }
+
+    /// Asserts the cached hint equals the sweep at `now` and at instants
+    /// around and past every gate the floor can sit on.
+    fn assert_hint_matches_reference(b: &FgnvmBank, now: Cycle) {
+        let mut probes = vec![now, now + CycleCount::new(1), b.ready_floor];
+        probes.extend(b.sags.lock.iter().copied());
+        probes.extend(b.cd_io_free.iter().copied());
+        probes.push(b.next_col);
+        probes.push(b.serial_until);
+        probes.push(b.write_block_until);
+        for t in probes {
+            for t in [t, t + CycleCount::new(1)] {
+                assert_eq!(
+                    b.next_ready_hint(t),
+                    b.next_ready_hint_reference(t),
+                    "cached hint diverged from the sweep at {t}"
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random plan/commit sequences over every mode set, column-path
+        /// sharing and write-pausing combination: after every commit — and
+        /// across a `save_state`/`load_state` round trip halfway through —
+        /// the cached readiness floor answers exactly as the old sweep.
+        #[test]
+        fn cached_hint_equals_the_lock_and_io_sweep(
+            steps in prop::collection::vec(step_strategy(), 1..60),
+        ) {
+            let g = geom(4, 4);
+            let timing = TimingConfig::paper_pcm().to_cycles().unwrap();
+            for modes in [Modes::all(), Modes::none()] {
+                for shared in [true, false] {
+                    for pausing in [false, true] {
+                        let fresh = || {
+                            FgnvmBank::new(&g, timing, modes, shared)
+                                .unwrap()
+                                .with_write_pausing(pausing)
+                        };
+                        let mut b = fresh();
+                        let mut now = Cycle::ZERO;
+                        assert_hint_matches_reference(&b, now);
+                        for (i, &(is_write, sag, row, cd, wait, delay)) in steps.iter().enumerate() {
+                            if i == steps.len() / 2 {
+                                let mut w = fgnvm_types::SnapshotWriter::new();
+                                b.save_state(&mut w);
+                                let bytes = w.finish();
+                                let mut restored = fresh();
+                                let mut r = fgnvm_types::SnapshotReader::new(&bytes).unwrap();
+                                restored.load_state(&mut r).unwrap();
+                                b = restored;
+                                assert_hint_matches_reference(&b, now);
+                            }
+                            now += CycleCount::new(wait);
+                            let op = if is_write { Op::Write } else { Op::Read };
+                            let a = Access {
+                                op,
+                                row: sag * g.rows_per_sag() + row,
+                                line: cd * (g.lines_per_row() / g.cds()),
+                                coord: TileCoord { sag, cd_first: cd, cd_count: 1 },
+                            };
+                            // A pausing read's retry can land where the
+                            // pause no longer applies: re-plan until it issues.
+                            let plan = loop {
+                                match b.plan(&a, now) {
+                                    Ok(plan) => break plan,
+                                    Err(blocked) => now = blocked.retry_at,
+                                }
+                            };
+                            b.commit(&a, &plan, now, plan.earliest_data + CycleCount::new(delay));
+                            assert_hint_matches_reference(&b, now);
+                        }
+                        // Toggling pausing on a busy bank re-derives the floor.
+                        let toggled = b.clone().with_write_pausing(!pausing);
+                        assert_hint_matches_reference(&toggled, now);
+                    }
+                }
+            }
+        }
     }
 }

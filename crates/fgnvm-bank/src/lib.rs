@@ -82,6 +82,15 @@ pub trait Bank: std::fmt::Debug + Send {
     /// Checks whether `access` can be issued at `now` without mutating any
     /// state.
     ///
+    /// A blocked verdict is *stable*: `retry_at` is a lower bound on the
+    /// first instant the access could issue, and re-planning at any instant
+    /// in `(now, retry_at)` without an intervening `commit` reports the
+    /// same `retry_at`, even where a gate opens or closes by the clock
+    /// alone (a DRAM refresh window, an FgNVM read that stops qualifying to
+    /// pause a nearly finished write). The issue calendar keeps a bank's
+    /// verdicts until their retry arrives on the strength of this; the
+    /// calendar differential suite checks it against a fresh scan.
+    ///
     /// # Errors
     ///
     /// Returns [`Blocked`] naming the busy resource and a retry hint when

@@ -54,7 +54,7 @@ struct Event {
 /// need a bubble between them for bus ownership to switch.
 const T_RTRS: CycleCount = CycleCount::new(2);
 
-/// One slot of the channel's next-event calendar: the memoized result of
+/// The channel-level memo on top of the issue calendar: the result of
 /// [`Controller::next_event_at`].
 ///
 /// The memo is sound *and exact* because every quantity the linear scan
@@ -66,7 +66,8 @@ const T_RTRS: CycleCount = CycleCount::new(2);
 /// fresh scan would return for any query instant in `(t0, value)`, as long
 /// as no state mutation (enqueue, event retirement, command issue, or
 /// checkpoint restore) happened in between — and every mutation path clears
-/// the memo.
+/// the memo. Re-deriving it is cheap: the rescan reads the per-bank
+/// [`GateSlot`]s and re-plans only the banks whose slot is spent.
 #[derive(Debug, Clone, Copy)]
 enum NextAt {
     /// The channel was idle; it stays idle until an enqueue (which clears
@@ -74,6 +75,31 @@ enum NextAt {
     Idle,
     /// The earliest instant a tick could change state.
     At(Cycle),
+}
+
+/// One (queue, bank) slot of the channel's issue calendar: `gate` is the
+/// earliest instant any entry of that queue on that bank could issue, as
+/// evaluated at instant `asked`.
+///
+/// The `NextAt` argument applied per bank: an entry's verdict depends only
+/// on its own bank's state, which only a command issued to that bank
+/// moves. So the slot stays exact across enqueues to other banks and
+/// across every completion retirement; an issue clears its bank's two
+/// slots, and an accepted enqueue folds the new entry into its slot.
+#[derive(Debug, Clone, Copy)]
+struct GateSlot {
+    gate: Cycle,
+    asked: Cycle,
+}
+
+impl GateSlot {
+    /// True while `gate` is still what a fresh evaluation at `now` would
+    /// return: a strictly future gate computed from unchanged bank state
+    /// (blocked verdicts are stable, see [`Bank::plan`]), or a "ready"
+    /// verdict asked at this very instant.
+    fn valid_at(self, now: Cycle) -> bool {
+        self.gate > now || self.asked == now
+    }
 }
 
 /// Per-rank tFAW tracking: at most four activations may start within any
@@ -158,8 +184,8 @@ pub struct Controller {
     /// Test-only fault injection: when set, force-issue a queue head with a
     /// fabricated plan whenever the scheduler finds nothing legal to issue.
     chaos: bool,
-    /// This channel's calendar slot: the memoized [`next_event_at`]
-    /// result, cleared by every state mutation (see `NextAt`).
+    /// This channel's memoized [`next_event_at`] result, cleared by every
+    /// state mutation (see `NextAt`).
     ///
     /// [`next_event_at`]: Controller::next_event_at
     next_cache: Cell<Option<NextAt>>,
@@ -186,12 +212,17 @@ pub struct Controller {
     event_driven: bool,
     /// Read-queue entries per bank index. Queue entries cluster on few
     /// banks, and a bank's readiness hint gates every entry on it alike —
-    /// so the calendar scan walks these counts (one hint per *occupied
-    /// bank*) instead of the queue (one hint per *entry*).
+    /// so the calendar scan walks these counts (one slot per *occupied
+    /// bank*) instead of the queue (one verdict per *entry*).
     queued_reads_per_bank: Vec<u32>,
     /// Write-queue entries per bank index; same role as
     /// [`queued_reads_per_bank`](field@Controller::queued_reads_per_bank).
     queued_writes_per_bank: Vec<u32>,
+    /// The issue calendar's read-queue [`GateSlot`] per bank index; `None`
+    /// until the scan (re)fills it.
+    read_slots: Vec<Cell<Option<GateSlot>>>,
+    /// The write-queue [`GateSlot`] per bank index.
+    write_slots: Vec<Cell<Option<GateSlot>>>,
 }
 
 /// What [`Controller::audit_probe`] measured for one issue decision.
@@ -321,6 +352,8 @@ impl Controller {
             event_driven: true,
             queued_reads_per_bank: vec![0; bank_count],
             queued_writes_per_bank: vec![0; bank_count],
+            read_slots: vec![Cell::new(None); bank_count],
+            write_slots: vec![Cell::new(None); bank_count],
         })
     }
 
@@ -333,8 +366,17 @@ impl Controller {
     #[doc(hidden)]
     pub fn set_chaos(&mut self, enabled: bool) {
         self.chaos = enabled;
+        self.clear_calendar();
+    }
+
+    /// Forgets every memoized calendar value: the channel memo, the issue
+    /// bound and every (queue, bank) slot.
+    fn clear_calendar(&mut self) {
         self.next_cache.set(None);
         self.issue_bound.set(None);
+        for slot in self.read_slots.iter().chain(&self.write_slots) {
+            slot.set(None);
+        }
     }
 
     /// Occupancy snapshots for every bank on this channel.
@@ -379,11 +421,36 @@ impl Controller {
     pub fn enqueue(&mut self, pending: Pending, now: Cycle, stats: &mut SystemStats) -> Enqueue {
         let outcome = self.enqueue_inner(pending, now, stats);
         if outcome != Enqueue::Full {
-            // The queue or event heap changed; the calendar slot is stale.
+            // The queue or event heap changed; the channel memo is stale.
             self.next_cache.set(None);
             self.issue_bound.set(None);
         }
+        if outcome == Enqueue::Accepted {
+            self.fold_into_slot(&pending, now);
+        }
         outcome
+    }
+
+    /// Folds a newly queued entry into its (queue, bank) [`GateSlot`]:
+    /// while the slot is still exact at `now`, the min of its gate and the
+    /// entry's own verdict is exactly what a refill would compute; a spent
+    /// slot is left for the next scan to refill.
+    fn fold_into_slot(&self, pending: &Pending, now: Cycle) {
+        let slots = if pending.request.op.is_read() {
+            &self.read_slots
+        } else {
+            &self.write_slots
+        };
+        let slot = &slots[pending.bank_index];
+        slot.set(match slot.get() {
+            Some(s) if s.valid_at(now) => Some(GateSlot {
+                gate: s
+                    .gate
+                    .min(self.bank_gate(pending.bank_index, [pending], now)),
+                asked: now,
+            }),
+            _ => None,
+        });
     }
 
     fn enqueue_inner(&mut self, pending: Pending, now: Cycle, stats: &mut SystemStats) -> Enqueue {
@@ -491,10 +558,12 @@ impl Controller {
         }
         if mutated || issued_any {
             // Retirements and issues move bank/queue/event state; the
-            // calendar slot must be recomputed. (A tick that only
-            // re-settles the drain flag keeps the memo: the flag update is
-            // a fixpoint under the unchanged queue occupancy, and the scan
-            // already evaluated it one step ahead.)
+            // channel memo must be recomputed. (A tick that only re-settles
+            // the drain flag keeps the memo: the flag update is a fixpoint
+            // under the unchanged queue occupancy, and the scan already
+            // evaluated it one step ahead.) Retirements touch no bank or
+            // queue, so the per-bank slots survive them; `issue_one`
+            // clears the slots of the bank it issued to.
             self.next_cache.set(None);
         }
         issued_any
@@ -756,8 +825,11 @@ impl Controller {
             }));
         }
         // The issue moved queue and bank state: the issue bound no longer
-        // holds (nor does it for a second pick in the same tick).
+        // holds (nor does it for a second pick in the same tick), and every
+        // verdict on the issued-to bank may have changed.
         self.issue_bound.set(None);
+        self.read_slots[pending.bank_index].set(None);
+        self.write_slots[pending.bank_index].set(None);
         true
     }
 
@@ -857,10 +929,11 @@ impl Controller {
     /// caller simply single-steps; it never lies *late*, so skipping to it
     /// can never jump over real work.
     ///
-    /// The result is memoized in this channel's calendar slot and reused
-    /// until it expires or a state mutation clears it; the memo is exact,
-    /// not merely sound (see `NextAt`), which the calendar differential
-    /// suite verifies against [`next_event_at_linear`].
+    /// The result is memoized per channel (see `NextAt`) on top of
+    /// per-(queue, bank) gate slots (see `GateSlot`), each reused until it
+    /// expires or a mutation of its own state clears it; both memos are
+    /// exact, not merely sound, which the calendar differential suite
+    /// verifies against [`next_event_at_linear`].
     ///
     /// [`next_event_at_linear`]: Controller::next_event_at_linear
     pub fn next_event_at(&self, now: Cycle) -> Option<Cycle> {
@@ -886,12 +959,12 @@ impl Controller {
         result
     }
 
-    /// The calendar's scan: like [`next_event_at_linear`] but driven by
-    /// the per-bank occupancy counts, so a fully gated channel costs one
-    /// [`Bank::next_ready_hint`] call per *occupied bank* instead of one
-    /// per queued entry. Per-entry `plan` consultation happens only for
-    /// banks whose hint says "ready now" — exactly the entries the linear
-    /// reference would consult too, so both compute the same minimum.
+    /// The calendar's scan: like [`next_event_at_linear`], but a min over
+    /// the considered queues' occupied-bank [`GateSlot`]s. A slot that is
+    /// still exact costs nothing; a spent one is refilled by
+    /// [`bank_gate`](Controller::bank_gate), which consults exactly the
+    /// entries the linear reference would, so both compute the same
+    /// minimum.
     ///
     /// [`next_event_at_linear`]: Controller::next_event_at_linear
     fn next_event_at_scan(&self, now: Cycle) -> Option<Cycle> {
@@ -905,19 +978,29 @@ impl Controller {
             }
             heap_at = ev.at;
         }
-        // Gate contributions (bank hints and blocked-plan retries) are
-        // tracked apart from the event-heap head: their minimum is also
-        // the issue bound published below, which must not be capped by a
-        // completion instant — completions do not gate command issue.
+        // Gate contributions are tracked apart from the event-heap head:
+        // their minimum is also the issue bound published below, which
+        // must not be capped by a completion instant — completions do not
+        // gate command issue.
         let mut gates = Cycle::MAX;
         let drain_next = self.drain.update(self.draining, self.writes.len());
         let consider_reads = !drain_next || self.scheduler.reads_during_drain();
         let consider_writes = drain_next || self.reads.is_empty();
         let queues = [
-            (consider_reads, &self.reads, &self.queued_reads_per_bank),
-            (consider_writes, &self.writes, &self.queued_writes_per_bank),
+            (
+                consider_reads,
+                &self.reads,
+                &self.queued_reads_per_bank,
+                &self.read_slots,
+            ),
+            (
+                consider_writes,
+                &self.writes,
+                &self.queued_writes_per_bank,
+                &self.write_slots,
+            ),
         ];
-        for (consider, queue, counts) in queues {
+        for (consider, queue, counts, slots) in queues {
             if !consider {
                 continue;
             }
@@ -925,51 +1008,74 @@ impl Controller {
                 if *count == 0 {
                     continue;
                 }
-                let bank = &self.banks[bank_index];
-                let hint = bank.next_ready_hint(now);
-                if hint > now {
-                    // The bank cannot accept *any* access before `hint`,
-                    // which gates every entry queued on it alike.
-                    gates = gates.min(hint);
-                    continue;
-                }
-                // Deduplicate plan calls by equivalence class (see
-                // [`Bank::plan_class`]): a queue drains many same-shaped
-                // accesses against one bank, so the dozens of entries here
-                // usually collapse to a couple of verdicts. Fixed-size
-                // stack buffer — classes beyond it just plan directly,
-                // keeping the path allocation-free and exact either way.
-                let mut classes = [(0u128, Cycle::MAX); 16];
-                let mut class_count = 0usize;
-                'entries: for pending in queue.iter().filter(|p| p.bank_index == bank_index) {
-                    let key = bank.plan_class(&pending.access);
-                    for &(k, retry) in &classes[..class_count] {
-                        if k == key {
-                            gates = gates.min(retry);
-                            continue 'entries;
-                        }
+                let slot = &slots[bank_index];
+                let gate = match slot.get() {
+                    Some(s) if s.valid_at(now) => s.gate,
+                    _ => {
+                        let entries = queue.iter().filter(|p| p.bank_index == bank_index);
+                        let gate = self.bank_gate(bank_index, entries, now);
+                        slot.set(Some(GateSlot { gate, asked: now }));
+                        gate
                     }
-                    match bank.plan(&pending.access, now) {
-                        Ok(_) => return Some(now),
-                        Err(blocked) => {
-                            debug_assert!(
-                                blocked.retry_at > now,
-                                "blocked plan must name a strictly future retry"
-                            );
-                            gates = gates.min(blocked.retry_at);
-                            if class_count < classes.len() {
-                                classes[class_count] = (key, blocked.retry_at);
-                                class_count += 1;
-                            }
-                        }
-                    }
+                };
+                if gate <= now {
+                    return Some(now);
                 }
+                gates = gates.min(gate);
             }
         }
         // Every queued entry is provably gated until `gates`; retire-only
         // ticks before then can skip the pick scan (see `issue_bound`).
         self.issue_bound.set(Some(gates));
         Some(heap_at.min(gates))
+    }
+
+    /// The earliest instant any of `entries` (all queued on bank
+    /// `bank_index`) could issue, evaluated fresh at `now` as the linear
+    /// reference evaluates it: the bank's readiness hint when it lies in
+    /// the future (it gates every entry on the bank alike), else `now` if
+    /// some entry plans, else the earliest blocked retry.
+    fn bank_gate<'a>(
+        &self,
+        bank_index: usize,
+        entries: impl IntoIterator<Item = &'a Pending>,
+        now: Cycle,
+    ) -> Cycle {
+        let bank = &self.banks[bank_index];
+        let hint = bank.next_ready_hint(now);
+        if hint > now {
+            return hint;
+        }
+        // Deduplicate plan calls by equivalence class (see
+        // [`Bank::plan_class`]): a queue drains many same-shaped accesses
+        // against one bank, so the dozens of entries here usually collapse
+        // to a couple of verdicts. Fixed-size stack buffer — classes beyond
+        // it just plan directly, keeping the path allocation-free and exact
+        // either way.
+        let mut classes = [0u128; 16];
+        let mut class_count = 0usize;
+        let mut gate = Cycle::MAX;
+        for pending in entries {
+            let key = bank.plan_class(&pending.access);
+            if classes[..class_count].contains(&key) {
+                continue;
+            }
+            match bank.plan(&pending.access, now) {
+                Ok(_) => return now,
+                Err(blocked) => {
+                    debug_assert!(
+                        blocked.retry_at > now,
+                        "blocked plan must name a strictly future retry"
+                    );
+                    gate = gate.min(blocked.retry_at);
+                    if class_count < classes.len() {
+                        classes[class_count] = key;
+                        class_count += 1;
+                    }
+                }
+            }
+        }
+        gate
     }
 
     /// The reference implementation of [`next_event_at`]: a full linear
@@ -1058,7 +1164,7 @@ impl Controller {
     /// bit-identical — this only moves where the work happens.
     pub fn set_event_driven(&mut self, enabled: bool) {
         self.event_driven = enabled;
-        self.issue_bound.set(None);
+        self.clear_calendar();
     }
 
     /// Accounts the per-tick queue-depth statistics for `skipped` cycles
@@ -1315,9 +1421,8 @@ impl Controller {
         for bank in &mut self.banks {
             bank.load_state(r)?;
         }
-        // Everything the calendar slot was derived from may have changed.
-        self.next_cache.set(None);
-        self.issue_bound.set(None);
+        // Everything the calendar was derived from may have changed.
+        self.clear_calendar();
         self.queued_reads_per_bank.fill(0);
         for p in self.reads.iter() {
             let Some(count) = self.queued_reads_per_bank.get_mut(p.bank_index) else {

@@ -10,7 +10,9 @@
 //! 2. a sweep over every checked-in `configs/*.cfg` file, parsed exactly as
 //!    the `fgnvm_trace` binary would parse it;
 //! 3. exhaustive unit checks that both bank FSMs' `next_ready_hint` is a
-//!    sound lower bound — the contract the skip logic rests on.
+//!    sound lower bound — the contract the skip logic rests on — and that
+//!    every bank model's blocked verdicts are stable until their retry —
+//!    the contract the issue calendar's per-bank slots rest on.
 //!
 //! Every run executes with the observability layer enabled: the snapshot
 //! includes the rendered metrics and Chrome-trace JSON documents, so span
@@ -20,7 +22,7 @@
 
 use proptest::prelude::*;
 
-use fgnvm_bank::{Access, Bank, BaselineBank, FgnvmBank, Modes};
+use fgnvm_bank::{Access, Bank, BaselineBank, DramBank, FgnvmBank, Modes, RefreshCycles};
 use fgnvm_check::Oracle;
 use fgnvm_mem::{CommandRecord, MemorySystem, Sample, SystemStats};
 use fgnvm_types::address::TileCoord;
@@ -228,11 +230,9 @@ fn lcg_stream(seed: u64, ops: usize) -> Vec<Gen> {
         .collect()
 }
 
-/// Every checked-in parameter file — parsed exactly as `fgnvm_trace
-/// replay --params` parses it — must be fast-forward clean, including the
-/// fault-injected one.
-#[test]
-fn every_checked_in_config_is_fast_forward_clean() {
+/// Every checked-in parameter file, sorted by path and parsed exactly as
+/// `fgnvm_trace replay --params` parses it, with its path for messages.
+fn checked_in_configs() -> Vec<(String, SystemConfig)> {
     let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../configs");
     let mut paths: Vec<_> = std::fs::read_dir(dir)
         .expect("configs/ directory present")
@@ -241,39 +241,47 @@ fn every_checked_in_config_is_fast_forward_clean() {
         .collect();
     paths.sort();
     assert!(
-        paths.iter().any(|p| p.ends_with("fgnvm_8x2_faulty.cfg")),
-        "the fault-injected config must be part of the sweep"
-    );
-    let reqs = lcg_stream(0xF09D_95A4, 160);
-    for path in &paths {
-        let text = std::fs::read_to_string(path).unwrap();
-        let config = fgnvm_types::parse_system_config(&text)
-            .unwrap_or_else(|e| panic!("{}: {e:?}", path.display()));
-        let fast = drive(&config, &reqs, true);
-        let stepped = drive(&config, &reqs, false);
-        // `Snapshot` equality covers the oracle verdicts too: whatever the
-        // oracle concludes, it must conclude it identically in both modes.
-        assert_eq!(
-            fast,
-            stepped,
-            "{} diverged under fast-forward",
-            path.display()
-        );
-        assert!(
-            fast.commands.iter().any(|c| !c.is_empty()),
-            "{}: nothing issued — the sweep exercised nothing",
-            path.display()
-        );
-        assert!(
-            fast.obs_trace.contains("\"cat\":\"cmd\""),
-            "{}: observer recorded no command slices",
-            path.display()
-        );
-    }
-    assert!(
         paths.len() >= 6,
         "expected the full config set, saw {paths:?}"
     );
+    paths
+        .iter()
+        .map(|path| {
+            let text = std::fs::read_to_string(path).unwrap();
+            let config = fgnvm_types::parse_system_config(&text)
+                .unwrap_or_else(|e| panic!("{}: {e:?}", path.display()));
+            (path.display().to_string(), config)
+        })
+        .collect()
+}
+
+/// Every checked-in parameter file must be fast-forward clean, including
+/// the fault-injected one.
+#[test]
+fn every_checked_in_config_is_fast_forward_clean() {
+    let configs = checked_in_configs();
+    assert!(
+        configs
+            .iter()
+            .any(|(path, _)| path.ends_with("fgnvm_8x2_faulty.cfg")),
+        "the fault-injected config must be part of the sweep"
+    );
+    let reqs = lcg_stream(0xF09D_95A4, 160);
+    for (path, config) in &configs {
+        let fast = drive(config, &reqs, true);
+        let stepped = drive(config, &reqs, false);
+        // `Snapshot` equality covers the oracle verdicts too: whatever the
+        // oracle concludes, it must conclude it identically in both modes.
+        assert_eq!(fast, stepped, "{path} diverged under fast-forward");
+        assert!(
+            fast.commands.iter().any(|c| !c.is_empty()),
+            "{path}: nothing issued — the sweep exercised nothing"
+        );
+        assert!(
+            fast.obs_trace.contains("\"cat\":\"cmd\""),
+            "{path}: observer recorded no command slices"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -411,13 +419,125 @@ fn fgnvm_hint_is_sound_with_serializing_modes() {
     assert_hint_is_lower_bound(&bank, &candidates, 1_500);
 }
 
+/// Brute-force check of the stable-verdict contract (see `Bank::plan`): for
+/// every `now` in `window` and every candidate blocked at `now` until `r`,
+/// re-planning at each instant in `(now, r)` reports the same `r`. The issue
+/// calendar keeps a bank's verdicts until their retry arrives on the
+/// strength of this.
+fn assert_blocked_verdicts_are_stable(
+    bank: &dyn Bank,
+    candidates: &[Access],
+    window: std::ops::Range<u64>,
+) {
+    for now_raw in window {
+        let now = Cycle::new(now_raw);
+        for a in candidates {
+            let Err(blocked) = bank.plan(a, now) else {
+                continue;
+            };
+            for t_raw in now_raw + 1..blocked.retry_at.raw() {
+                assert_eq!(
+                    bank.plan(a, Cycle::new(t_raw)).err().map(|b| b.retry_at),
+                    Some(blocked.retry_at),
+                    "{a:?} blocked at {now} until {} moved its retry at cycle {t_raw}",
+                    blocked.retry_at
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn dram_blocked_verdicts_are_stable_across_refresh_windows() {
+    // Bank 0 refreshes over [3120, 3240). A read at 3105 puts the row
+    // switch gate inside that window and the column gate just before it.
+    let geom = Geometry::builder().sags(1).cds(1).build().unwrap();
+    let timing = TimingConfig::ddr3_like().to_cycles().unwrap();
+    let mut bank = DramBank::new(&geom, timing, RefreshCycles::ddr3_like());
+    let a = access(&geom, Op::Read, 3, 0);
+    let at = Cycle::new(3105);
+    let plan = bank.plan(&a, at).unwrap();
+    bank.commit(&a, &plan, at, plan.earliest_data);
+    let candidates = [
+        access(&geom, Op::Read, 3, 1),
+        access(&geom, Op::Write, 3, 2),
+        access(&geom, Op::Read, 9, 0),
+        access(&geom, Op::Write, 9, 1),
+    ];
+    assert_blocked_verdicts_are_stable(&bank, &candidates, 3_080..3_260);
+}
+
+#[test]
+fn fgnvm_blocked_verdicts_are_stable_with_and_without_pausing() {
+    // Two writes 8 cycles apart: (SAG 1, CD 1) first, then (SAG 0, CD 0),
+    // whose lock outlives the first write's CD I/O by less than the pause
+    // threshold. A read of SAG 0 on CD 1 may pause the second write, but
+    // waits on the first write's CD past the last instant it could pause.
+    let geom = Geometry::builder().sags(4).cds(4).build().unwrap();
+    let timing = TimingConfig::paper_pcm().to_cycles().unwrap();
+    let rows_per_sag = geom.rows_per_bank() / geom.sags();
+    for pausing in [false, true] {
+        let mut bank = FgnvmBank::new(&geom, timing, Modes::all(), true)
+            .unwrap()
+            .with_write_pausing(pausing);
+        for (at, a) in [
+            (0, access(&geom, Op::Write, rows_per_sag, 1)),
+            (8, access(&geom, Op::Write, 0, 0)),
+        ] {
+            let at = Cycle::new(at);
+            let plan = bank.plan(&a, at).unwrap();
+            bank.commit(&a, &plan, at, plan.earliest_data);
+        }
+        let candidates: Vec<Access> = (0..4u32)
+            .flat_map(|sag| {
+                let row = sag * rows_per_sag + 1;
+                (0..4u32).map(move |cd| (row, cd))
+            })
+            .flat_map(|(row, cd)| {
+                [
+                    access(&geom, Op::Read, row, cd),
+                    access(&geom, Op::Write, row, cd),
+                ]
+            })
+            .collect();
+        assert_blocked_verdicts_are_stable(&bank, &candidates, 0..200);
+    }
+}
+
+#[test]
+fn baseline_blocked_verdicts_are_stable() {
+    let geom = Geometry::builder().sags(1).cds(1).build().unwrap();
+    let timing = TimingConfig::paper_pcm().to_cycles().unwrap();
+    let mut bank = BaselineBank::new(&geom, timing);
+    for (at, a) in [
+        (0, access(&geom, Op::Read, 3, 0)),
+        (60, access(&geom, Op::Write, 3, 1)),
+    ] {
+        let at = Cycle::new(at);
+        let plan = bank.plan(&a, at).unwrap();
+        bank.commit(&a, &plan, at, plan.earliest_data);
+    }
+    let candidates = [
+        access(&geom, Op::Read, 3, 0),
+        access(&geom, Op::Write, 3, 2),
+        access(&geom, Op::Read, 9, 1),
+    ];
+    assert_blocked_verdicts_are_stable(&bank, &candidates, 0..300);
+}
+
 // ---------------------------------------------------------------------------
-// Calendar differential: the memoized `next_event_at` (per-channel NextAt
-// cache + issue-bound memo) must return *exactly* what a fresh linear scan
-// of every event heap and queued-request gate returns, at every instant of
-// a real run. An early memo silently replays events; a late one drops
-// issue opportunities. Both scans run on live systems mid-drain, so every
-// memo invalidation edge (enqueue, retire, issue, skip) is crossed.
+// Calendar differential: the memoized `next_event_at` — per-(queue, bank)
+// gate slots backed by the banks' O(1) readiness hints, with the
+// per-channel NextAt memo and the issue-bound memo on top — must return
+// *exactly* what a fresh linear scan of every event heap and queued-request
+// gate returns, at every instant of a real run. An early memo silently
+// replays events; a late one drops issue opportunities. Slots survive
+// retirements and enqueues to other banks, are cleared per bank by an
+// issue, and fold an accepted enqueue into the slot it lands in; the
+// closed-loop driver crosses the issue, retire and skip edges mid-drain,
+// and the open-loop driver interleaves arrivals with event hops (so
+// arrivals land while other banks' slots are live) and restores from a
+// snapshot halfway through.
 // ---------------------------------------------------------------------------
 
 /// Drives `reqs` through a fast-forwarded run, asserting at every loop
@@ -427,18 +547,7 @@ fn drive_checking_calendar(name: &str, config: &SystemConfig, reqs: &[Gen]) {
     let mut mem = MemorySystem::new(*config).unwrap();
     mem.set_fast_forward(true);
     let mut completions = Vec::new();
-    let check = |mem: &MemorySystem, whence: &str| {
-        // Linear first: it must not observe anything the memoized call
-        // publishes.
-        let linear = mem.next_event_at_linear();
-        let memoized = mem.next_event_at();
-        assert_eq!(
-            memoized,
-            linear,
-            "{name}: calendar scan diverged from linear reference {whence} at cycle {}",
-            mem.now().raw()
-        );
-    };
+    let check = |mem: &MemorySystem, whence: &str| assert_calendar_exact(name, mem, whence);
     for g in reqs {
         let op = if g.is_write { Op::Write } else { Op::Read };
         let mut guard = 0;
@@ -482,21 +591,10 @@ fn calendar_scan_matches_linear_reference_on_every_preset() {
 
 #[test]
 fn calendar_scan_matches_linear_reference_on_every_checked_in_config() {
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../configs");
-    let mut paths: Vec<_> = std::fs::read_dir(dir)
-        .expect("configs/ directory present")
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.extension().is_some_and(|e| e == "cfg"))
-        .collect();
-    paths.sort();
     let reqs = lcg_stream(0x5CA2_CA1E, 120);
-    for path in &paths {
-        let text = std::fs::read_to_string(path).unwrap();
-        let config = fgnvm_types::parse_system_config(&text)
-            .unwrap_or_else(|e| panic!("{}: {e:?}", path.display()));
-        drive_checking_calendar(&path.display().to_string(), &config, &reqs);
+    for (path, config) in checked_in_configs() {
+        drive_checking_calendar(&path, &config, &reqs);
     }
-    assert!(paths.len() >= 6, "expected the full config set");
 }
 
 proptest! {
@@ -515,5 +613,151 @@ proptest! {
         ] {
             drive_checking_calendar(name, &config, &reqs);
         }
+    }
+}
+
+/// Asserts the memoized calendar equals the linear reference right now.
+fn assert_calendar_exact(name: &str, mem: &MemorySystem, whence: &str) {
+    // Linear first: it must not observe anything the memoized call
+    // publishes.
+    let linear = mem.next_event_at_linear();
+    let memoized = mem.next_event_at();
+    assert_eq!(
+        memoized,
+        linear,
+        "{name}: calendar scan diverged from linear reference {whence} at cycle {}",
+        mem.now().raw()
+    );
+}
+
+/// A serve-like open-loop run: requests arrive at their own instants, and
+/// between arrivals the clock moves one event hop at a time, as `serve`
+/// drives it. Arrivals come in episodes on one bank region — write bursts,
+/// read trickles into banks that hold queued writes, mixed runs — with idle
+/// stretches between some of them. So arrivals land while other banks'
+/// gate slots are live, retirements leave slots standing, and a command
+/// from one queue moves the gates of the other queue's entries on the same
+/// bank. Halfway through the arrivals the system is snapshotted and
+/// replaced by its restored copy, which must keep the calendar exact. The
+/// calendar is checked after every enqueue and every hop.
+fn drive_open_loop_checking_calendar(
+    name: &str,
+    config: &SystemConfig,
+    seed: u64,
+    episodes: usize,
+) {
+    use fgnvm_types::time::CycleCount;
+    let mut mem = MemorySystem::new(*config).unwrap();
+    mem.set_fast_forward(true);
+    let mut completions = Vec::new();
+    let mut state = seed | 1;
+    let mut next = move || {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        state >> 33
+    };
+    let mut guard = 0u64;
+    let mut hop_until = |mem: &mut MemorySystem, completions: &mut Vec<Completion>, to: Cycle| {
+        while mem.now() < to {
+            let target = match mem.next_event_at() {
+                Some(at) if at > mem.now() => (at + CycleCount::new(1)).min(to),
+                Some(_) => mem.now() + CycleCount::new(1),
+                None => to,
+            };
+            mem.tick_to(target, completions);
+            assert_calendar_exact(name, mem, "after hop");
+            guard += 1;
+            assert!(
+                guard < 10_000_000,
+                "{name}: open-loop run failed to converge"
+            );
+        }
+    };
+    let mut arrival = Cycle::ZERO;
+    for episode in 0..episodes {
+        if episode == episodes / 2 {
+            let bytes = mem.save_snapshot();
+            mem = MemorySystem::restore(*config, &bytes)
+                .unwrap_or_else(|e| panic!("{name}: restore failed: {e}"));
+            assert_calendar_exact(name, &mem, "after restore");
+        }
+        if next() % 4 == 0 {
+            // An idle stretch, often long enough for the queues to drain.
+            arrival += CycleCount::new(next() % 600);
+        }
+        // (requests, max gap, writes out of 4, banks): a write burst or a
+        // read trickle on one bank, a short mixed run, or a long mixed run
+        // over several banks whose reads keep the write queue from
+        // draining until it crosses the drain watermark.
+        let (len, max_gap, writes, banks) = match next() % 4 {
+            0 => (4 + next() % 12, 2, 4, 1),
+            1 => (2 + next() % 5, 40, 0, 1),
+            2 => (4 + next() % 8, 8, 2, 1),
+            _ => (32 + next() % 64, 2, 2, 4),
+        };
+        let base = next() % 4;
+        for _ in 0..len {
+            arrival += CycleCount::new(next() % (max_gap + 1));
+            hop_until(&mut mem, &mut completions, arrival);
+            let g = Gen {
+                is_write: next() % 4 < writes,
+                region: (base + next() % banks) % 8,
+                row: next() % 16,
+                line: next() % 16,
+            };
+            let op = if g.is_write { Op::Write } else { Op::Read };
+            while mem.enqueue(op, g.addr()).is_none() {
+                // Backpressure: let at least one cycle pass.
+                let to = mem.now() + CycleCount::new(1);
+                hop_until(&mut mem, &mut completions, to);
+            }
+            assert_calendar_exact(name, &mem, "after enqueue");
+            arrival = arrival.max(mem.now());
+        }
+    }
+    while !mem.is_idle() {
+        let to = match mem.next_event_at() {
+            Some(at) if at > mem.now() => at,
+            _ => mem.now(),
+        } + CycleCount::new(1);
+        hop_until(&mut mem, &mut completions, to);
+    }
+    assert_eq!(
+        mem.next_event_at(),
+        None,
+        "{name}: idle system still reports an event"
+    );
+    assert!(
+        !completions.is_empty(),
+        "{name}: the open-loop run completed nothing"
+    );
+}
+
+#[test]
+fn open_loop_calendar_matches_linear_reference_on_every_preset() {
+    // Small queues make the write drain engage and release every few
+    // arrivals: an enqueue that engages it makes the write queue's slots
+    // count again, spent ones included.
+    let mut presets = all_presets();
+    for (name, scheduler) in [
+        ("small queues 8x2", SchedulerKind::FrfcfsTlp),
+        ("small queues frfcfs 8x2", SchedulerKind::Frfcfs),
+    ] {
+        let mut config = SystemConfig::fgnvm(8, 2).unwrap();
+        config.scheduler = scheduler;
+        config.queue_entries = 8;
+        config.write_queue_entries = 8;
+        presets.push((name, config));
+    }
+    for (name, config) in presets {
+        drive_open_loop_checking_calendar(name, &config, 0x0BE7_1004, 200);
+    }
+}
+
+#[test]
+fn open_loop_calendar_matches_linear_reference_on_every_checked_in_config() {
+    for (path, config) in checked_in_configs() {
+        drive_open_loop_checking_calendar(&path, &config, 0x5E2F_0A11, 200);
     }
 }
