@@ -223,16 +223,22 @@ pub struct Controller {
     read_slots: Vec<Cell<Option<GateSlot>>>,
     /// The write-queue [`GateSlot`] per bank index.
     write_slots: Vec<Cell<Option<GateSlot>>>,
+    /// [`Controller::audit_probe`]'s scratch: the greedy co-issue set as
+    /// `(bank, sag, cd_first, cd_count)`, reused across decisions.
+    audit_accepted: Vec<(usize, u32, u32, u32)>,
+    /// The `(sag, cd)` of each co-issuable peer of the latest audited
+    /// decision, which [`IssueAudit::missed`] borrows.
+    audit_missed: Vec<(u32, u32)>,
 }
 
-/// What [`Controller::audit_probe`] measured for one issue decision.
+/// What [`Controller::audit_probe`] measured for one issue decision; the
+/// missed pairs are left in `Controller::audit_missed`.
 #[derive(Debug)]
 struct AuditProbe {
     considered: u32,
     blocked: [u32; GATES],
     ready_peers: u32,
     co_issuable: u32,
-    missed: Vec<(u32, u32)>,
 }
 
 /// Controller-side ECC behaviour (graceful degradation).
@@ -354,6 +360,8 @@ impl Controller {
             queued_writes_per_bank: vec![0; bank_count],
             read_slots: vec![Cell::new(None); bank_count],
             write_slots: vec![Cell::new(None); bank_count],
+            audit_accepted: Vec::new(),
+            audit_missed: Vec::new(),
         })
     }
 
@@ -747,7 +755,7 @@ impl Controller {
                     blocked: probe.blocked,
                     ready_peers: probe.ready_peers,
                     co_issuable: probe.co_issuable,
-                    missed: &probe.missed,
+                    missed: &self.audit_missed,
                 });
             }
         }
@@ -841,10 +849,12 @@ impl Controller {
     /// (distinct SAG *and* disjoint CD span) with the chosen command and
     /// every previously accepted peer on the same bank; peers on distinct
     /// banks are trivially parallel. Queue order (reads first, then
-    /// writes) makes the greedy set deterministic.
+    /// writes) makes the greedy set deterministic. The co-issuable peers'
+    /// `(sag, cd)` land in `audit_missed`; both scratch buffers keep their
+    /// capacity, so a steady-state probe allocates nothing.
     ///
     /// [`issue_one`]: Controller::issue_one
-    fn audit_probe(&self, from_writes: bool, index: usize, now: Cycle) -> AuditProbe {
+    fn audit_probe(&mut self, from_writes: bool, index: usize, now: Cycle) -> AuditProbe {
         let chosen_queue = if from_writes {
             &self.writes
         } else {
@@ -856,16 +866,19 @@ impl Controller {
             blocked: [0; GATES],
             ready_peers: 0,
             co_issuable: 0,
-            missed: Vec::new(),
         };
+        let missed = &mut self.audit_missed;
+        missed.clear();
         // The accepted co-issue set, seeded with the chosen command:
         // (bank, sag, cd_first, cd_count) of everything already "issuing".
-        let mut accepted: Vec<(usize, u32, u32, u32)> = vec![(
+        let accepted = &mut self.audit_accepted;
+        accepted.clear();
+        accepted.push((
             chosen.bank_index,
             chosen.access.coord.sag,
             chosen.access.coord.cd_first,
             chosen.access.coord.cd_count,
-        )];
+        ));
         for (is_writes, queue) in [(false, &self.reads), (true, &self.writes)] {
             for (pos, p) in queue.iter().enumerate() {
                 probe.considered += 1;
@@ -893,7 +906,7 @@ impl Controller {
                         });
                         if compatible {
                             probe.co_issuable += 1;
-                            probe.missed.push((c.sag, c.cd_first));
+                            missed.push((c.sag, c.cd_first));
                             accepted.push((p.bank_index, c.sag, c.cd_first, c.cd_count));
                         }
                     }

@@ -1141,6 +1141,14 @@ impl MemorySystem {
     /// logs, observer artifacts — to the uninterrupted run.
     pub fn save_snapshot(&self) -> Vec<u8> {
         let mut w = fgnvm_types::SnapshotWriter::new();
+        self.save_into(&mut w);
+        w.finish()
+    }
+
+    /// Writes the `memsys` section of [`save_snapshot`](Self::save_snapshot)
+    /// into `w`, so a caller's own snapshot can carry the memory system
+    /// inline under its single checksum trailer.
+    pub fn save_into(&self, w: &mut fgnvm_types::SnapshotWriter) {
         w.tag("memsys");
         w.u64(fgnvm_types::snapshot::fnv1a64(
             format!("{:?}", self.config).as_bytes(),
@@ -1149,17 +1157,17 @@ impl MemorySystem {
         w.u64(self.next_id);
         w.bool(self.fast_forward);
         w.u64(self.sample_epoch);
-        self.stats.save_state(&mut w);
-        self.data.save_state(&mut w);
+        self.stats.save_state(w);
+        self.data.save_state(w);
         w.bool(self.wear.is_some());
         if let Some(wear) = &self.wear {
-            wear.save_state(&mut w);
+            wear.save_state(w);
         }
         w.bool(self.levelers.is_some());
         if let Some(levelers) = &self.levelers {
             w.usize(levelers.len());
             for l in levelers {
-                l.save_state(&mut w);
+                l.save_state(w);
             }
         }
         w.usize(self.samples.len());
@@ -1209,13 +1217,12 @@ impl MemorySystem {
         w.bool(self.capacity_exhausted);
         w.usize(self.controllers.len());
         for c in &self.controllers {
-            c.save_state(&mut w);
+            c.save_state(w);
         }
         w.bool(self.observer.is_some());
         if let Some(obs) = self.observer.as_deref() {
-            obs.save_state(&mut w);
+            obs.save_state(w);
         }
-        w.finish()
     }
 
     /// Rebuilds a memory system from `config` and overlays the state in
@@ -1234,8 +1241,25 @@ impl MemorySystem {
     /// [`SimError::Snapshot`] for a truncated, corrupted, or
     /// wrong-configuration checkpoint — never panics on hostile bytes.
     pub fn restore(config: SystemConfig, bytes: &[u8]) -> Result<MemorySystem, SimError> {
-        let mut mem = MemorySystem::new(config)?;
         let mut r = fgnvm_types::SnapshotReader::new(bytes)?;
+        let mem = MemorySystem::restore_from(config, &mut r)?;
+        r.expect_end()?;
+        Ok(mem)
+    }
+
+    /// Rebuilds a memory system from `config` and the `memsys` section
+    /// at `r`'s position (written by [`save_into`](Self::save_into)),
+    /// leaving `r` just past it. [`restore`](Self::restore) documents the
+    /// configuration contract.
+    ///
+    /// # Errors
+    ///
+    /// As [`restore`](Self::restore).
+    pub fn restore_from(
+        config: SystemConfig,
+        r: &mut fgnvm_types::SnapshotReader<'_>,
+    ) -> Result<MemorySystem, SimError> {
+        let mut mem = MemorySystem::new(config)?;
         r.tag("memsys")?;
         let fingerprint = r.u64()?;
         let expected = fgnvm_types::snapshot::fnv1a64(format!("{:?}", mem.config).as_bytes());
@@ -1249,14 +1273,14 @@ impl MemorySystem {
         mem.next_id = r.u64()?;
         mem.fast_forward = r.bool()?;
         mem.sample_epoch = r.u64()?;
-        mem.stats = SystemStats::load_state(&mut r)?;
-        mem.data = DataStore::load_state(&mut r)?;
+        mem.stats = SystemStats::load_state(r)?;
+        mem.data = DataStore::load_state(r)?;
         if r.bool()? {
             mem.enable_wear_tracking();
             mem.wear
                 .as_mut()
                 .expect("wear tracking just enabled")
-                .load_state(&mut r)?;
+                .load_state(r)?;
         }
         if r.bool()? {
             let n = r.usize()?;
@@ -1276,7 +1300,7 @@ impl MemorySystem {
                 .into());
             }
             for l in levelers.iter_mut() {
-                l.load_state(&mut r)?;
+                l.load_state(r)?;
             }
         }
         let n = r.usize()?;
@@ -1324,7 +1348,7 @@ impl MemorySystem {
             .into());
         }
         for c in mem.controllers.iter_mut() {
-            c.load_state(&mut r)?;
+            c.load_state(r)?;
         }
         // The restored fast-forward flag must reach the controllers' issue
         // gating too (it is a mode, not channel state, so the channel
@@ -1338,9 +1362,8 @@ impl MemorySystem {
             mem.observer
                 .as_deref_mut()
                 .expect("observer just enabled")
-                .load_state(&mut r)?;
+                .load_state(r)?;
         }
-        r.expect_end()?;
         Ok(mem)
     }
 }

@@ -118,11 +118,15 @@ fn doublings(n: usize) -> u64 {
     u64::from(usize::BITS - n.leading_zeros())
 }
 
-#[test]
-fn observer_hooks_do_not_allocate_per_command() {
+/// Runs 200 warm write waves with the observer on (and the issue audit,
+/// when `audit`) and asserts that only the append-only buffers grew.
+fn assert_observer_waves_do_not_allocate_per_command(audit: bool) {
     let mut mem = MemorySystem::new(SystemConfig::fgnvm(8, 2).unwrap()).unwrap();
     mem.set_fast_forward(true);
     mem.enable_observer();
+    if audit {
+        mem.enable_audit();
+    }
     let mut id = 0u64;
     let mut out = Vec::with_capacity(4096);
     for _ in 0..2 {
@@ -142,12 +146,26 @@ fn observer_hooks_do_not_allocate_per_command() {
     // they may still double; nothing else may touch the heap.
     let allocs = ALLOCS.with(Cell::get);
     let obs = mem.observer().expect("observer enabled");
-    let commands = obs.trace.len();
-    assert!(commands >= 200 * 32, "waves did not issue");
-    let bound = 8 + doublings(obs.attribution.requests.len()) + doublings(commands);
+    let events = obs.trace.len();
+    assert!(events >= 200 * 32, "waves did not issue");
+    if audit {
+        let issues = obs.audit().expect("audit enabled").issues;
+        assert!(issues >= 200 * 32, "audit saw {issues} decisions");
+    }
+    let bound = 8 + doublings(obs.attribution.requests.len()) + doublings(events);
     assert!(
         allocs <= bound,
-        "observer-on waves performed {allocs} heap allocations over {commands} trace \
-         events (bound {bound})"
+        "observer-on waves (audit {audit}) performed {allocs} heap allocations over \
+         {events} trace events (bound {bound})"
     );
+}
+
+#[test]
+fn observer_hooks_do_not_allocate_per_command() {
+    assert_observer_waves_do_not_allocate_per_command(false);
+}
+
+#[test]
+fn audited_issues_do_not_allocate_per_command() {
+    assert_observer_waves_do_not_allocate_per_command(true);
 }

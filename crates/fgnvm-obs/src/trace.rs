@@ -7,17 +7,28 @@
 //! microseconds (1 cycle = 1 µs) — Perfetto only needs a monotonic unit.
 //!
 //! Events are stored as fixed-size typed records and rendered to JSON only
-//! when the trace is exported ([`TraceSink::to_json`]) or checkpointed
-//! ([`TraceSink::save_state`]), so recording an event allocates nothing
-//! beyond the buffer's amortized growth. Events restored from a checkpoint
-//! keep their rendered text. The buffer is bounded: once the cap is
+//! when the trace is exported ([`TraceSink::to_json`]), so recording an
+//! event allocates nothing beyond the buffer's amortized growth. Each
+//! distinct event name is kept once, in a per-sink name table the records
+//! index. A checkpoint ([`TraceSink::save_state`]) writes the table and
+//! then each record as binary fields, and a restore decodes them back
+//! into the same record buffer. The buffer is bounded: once the cap is
 //! reached further events are counted in `dropped` instead of growing
 //! memory without bound.
+
+use std::borrow::Cow;
+
+use fgnvm_types::{SnapshotError, SnapshotReader, SnapshotWriter};
 
 use crate::json;
 
 /// Default event capacity (~1M events).
 pub const DEFAULT_EVENT_CAP: usize = 1 << 20;
+
+/// A sink's name memo has `1 << MEMO_BITS` slots, more than the distinct
+/// labels a run records.
+const MEMO_BITS: u32 = 4;
+const MEMO_SLOTS: usize = 1 << MEMO_BITS;
 
 /// The arguments a command slice carries, rendered as its `args` object.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -42,10 +53,23 @@ enum Phase {
     Instant,
 }
 
+impl Phase {
+    /// The phase byte a checkpoint stores for this phase.
+    fn code(&self) -> u8 {
+        match self {
+            Phase::ProcessName => 0,
+            Phase::ThreadName => 1,
+            Phase::Slice { .. } => 2,
+            Phase::Instant => 3,
+        }
+    }
+}
+
 /// One buffered event, not yet rendered.
 #[derive(Debug, Clone, Copy)]
 struct Record {
-    name: &'static str,
+    /// Index into the sink's name table.
+    name: u32,
     channel: u32,
     bank: u32,
     ts: u64,
@@ -53,11 +77,71 @@ struct Record {
 }
 
 impl Record {
-    /// Appends the event's JSON object to `out`.
-    fn render(&self, out: &mut String) {
+    /// Writes the record as its phase byte followed by varint fields; only
+    /// a slice carries a duration and arguments.
+    fn save(&self, w: &mut SnapshotWriter) {
+        w.u8(self.phase.code());
+        w.var_u64(u64::from(self.name));
+        w.var_u64(u64::from(self.channel));
+        w.var_u64(u64::from(self.bank));
+        w.var_u64(self.ts);
+        if let Phase::Slice { dur, args } = self.phase {
+            w.var_u64(dur);
+            w.var_u64(args.id);
+            w.var_u64(u64::from(args.row));
+            w.var_u64(u64::from(args.sag));
+            w.var_u64(u64::from(args.cd));
+            w.var_u64(u64::from(args.retries));
+        }
+    }
+
+    /// Decodes a record written by [`Record::save`] against a name table
+    /// of `names` entries.
+    fn load(r: &mut SnapshotReader<'_>, names: usize) -> Result<Record, SnapshotError> {
+        let code = r.u8()?;
+        let name = r.var_u32()?;
+        if name as usize >= names {
+            return Err(SnapshotError::Corrupt(format!(
+                "trace event names entry {name} of a {names}-entry table"
+            )));
+        }
+        let channel = r.var_u32()?;
+        let bank = r.var_u32()?;
+        let ts = r.var_u64()?;
+        let phase = match code {
+            0 => Phase::ProcessName,
+            1 => Phase::ThreadName,
+            2 => Phase::Slice {
+                dur: r.var_u64()?,
+                args: SliceArgs {
+                    id: r.var_u64()?,
+                    row: r.var_u32()?,
+                    sag: r.var_u32()?,
+                    cd: r.var_u32()?,
+                    retries: r.var_u32()?,
+                },
+            },
+            3 => Phase::Instant,
+            other => {
+                return Err(SnapshotError::Corrupt(format!(
+                    "unknown trace event phase {other}"
+                )))
+            }
+        };
+        Ok(Record {
+            name,
+            channel,
+            bank,
+            ts,
+            phase,
+        })
+    }
+
+    /// Appends the event's JSON object, named `name`, to `out`.
+    fn render(&self, name: &str, out: &mut String) {
         let (c, b) = (u64::from(self.channel), u64::from(self.bank));
         out.push_str("{\"name\":");
-        json::quote_into(out, self.name);
+        json::quote_into(out, name);
         match self.phase {
             Phase::ProcessName => {
                 fields(
@@ -116,8 +200,8 @@ impl Record {
 }
 
 /// Appends each `(text, number)` pair to `out`, the number in decimal.
-/// Rendering runs for every buffered event at every checkpoint, so it
-/// formats integers by hand rather than through `fmt`.
+/// Export renders every buffered event, so this formats integers by hand
+/// rather than through `fmt`.
 fn fields(out: &mut String, pairs: &[(&str, u64)]) {
     for &(text, mut v) in pairs {
         out.push_str(text);
@@ -138,10 +222,15 @@ fn fields(out: &mut String, pairs: &[(&str, u64)]) {
 /// Bounded Chrome trace-event sink.
 #[derive(Debug, Clone)]
 pub struct TraceSink {
-    /// Events restored from a checkpoint, already rendered; they precede
-    /// every record.
-    restored: Vec<String>,
     records: Vec<Record>,
+    /// Distinct event names in order of first use; records index it. A
+    /// name recorded live borrows its `'static` label; one read back from
+    /// a checkpoint owns its text.
+    names: Vec<Cow<'static, str>>,
+    /// Direct-mapped memo from a label's address to its `names` index,
+    /// so a steady-state lookup is one pointer compare. Derived from
+    /// `names`, so it is not serialized and a restore clears it.
+    memo: [Option<(&'static str, u32)>; MEMO_SLOTS],
     cap: usize,
     dropped: u64,
     /// Channels and (channel, bank) tracks already named, kept sorted.
@@ -170,8 +259,9 @@ impl TraceSink {
     /// A sink holding at most `cap` events (metadata included).
     pub fn with_capacity(cap: usize) -> Self {
         TraceSink {
-            restored: Vec::new(),
             records: Vec::new(),
+            names: Vec::new(),
+            memo: [None; MEMO_SLOTS],
             cap,
             dropped: 0,
             named_procs: Vec::new(),
@@ -179,9 +269,40 @@ impl TraceSink {
         }
     }
 
-    fn push(&mut self, record: Record) {
-        if self.len() < self.cap {
-            self.records.push(record);
+    /// The name table index of `name`, adding it on first use. A memo hit
+    /// costs one pointer compare; a miss scans the table (a handful of
+    /// labels) by content, which also finds a name read back from a
+    /// checkpoint or the same text at another address.
+    fn intern(&mut self, name: &'static str) -> u32 {
+        // Fibonacci hashing of the label's address onto the memo slots.
+        let hash = (name.as_ptr() as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let slot = (hash >> (64 - MEMO_BITS)) as usize;
+        if let Some((label, at)) = self.memo[slot] {
+            if std::ptr::eq(label, name) {
+                return at;
+            }
+        }
+        let at = match self.names.iter().position(|n| n == name) {
+            Some(at) => at,
+            None => {
+                self.names.push(Cow::Borrowed(name));
+                self.names.len() - 1
+            }
+        } as u32;
+        self.memo[slot] = Some((name, at));
+        at
+    }
+
+    fn push(&mut self, name: &'static str, channel: u32, bank: u32, ts: u64, phase: Phase) {
+        if self.records.len() < self.cap {
+            let name = self.intern(name);
+            self.records.push(Record {
+                name,
+                channel,
+                bank,
+                ts,
+                phase,
+            });
         } else {
             self.dropped += 1;
         }
@@ -190,18 +311,11 @@ impl TraceSink {
     /// Emits process/thread name metadata for a track the first time it
     /// appears (deterministic: ordered by first use, not by hash).
     fn ensure_track(&mut self, channel: u32, bank: u32) {
-        let meta = |name, phase| Record {
-            name,
-            channel,
-            bank,
-            ts: 0,
-            phase,
-        };
         if insert_sorted(&mut self.named_procs, channel) {
-            self.push(meta("process_name", Phase::ProcessName));
+            self.push("process_name", channel, bank, 0, Phase::ProcessName);
         }
         if insert_sorted(&mut self.named_tracks, (channel, bank)) {
-            self.push(meta("thread_name", Phase::ThreadName));
+            self.push("thread_name", channel, bank, 0, Phase::ThreadName);
         }
     }
 
@@ -217,34 +331,20 @@ impl TraceSink {
         args: SliceArgs,
     ) {
         self.ensure_track(channel, bank);
-        self.push(Record {
-            name,
-            channel,
-            bank,
-            ts,
-            // Zero-width slices vanish in viewers.
-            phase: Phase::Slice {
-                dur: dur.max(1),
-                args,
-            },
-        });
+        // Zero-width slices vanish in viewers.
+        let dur = dur.max(1);
+        self.push(name, channel, bank, ts, Phase::Slice { dur, args });
     }
 
     /// Records a thread-scoped instant event (fault, remap, watchdog).
     pub fn instant(&mut self, channel: u32, bank: u32, name: &'static str, ts: u64) {
         self.ensure_track(channel, bank);
-        self.push(Record {
-            name,
-            channel,
-            bank,
-            ts,
-            phase: Phase::Instant,
-        });
+        self.push(name, channel, bank, ts, Phase::Instant);
     }
 
     /// Events currently buffered (including metadata records).
     pub fn len(&self) -> usize {
-        self.restored.len() + self.records.len()
+        self.records.len()
     }
 
     /// True if no event has been recorded.
@@ -257,28 +357,21 @@ impl TraceSink {
         self.dropped
     }
 
-    /// Calls `f` with every buffered event's JSON text, in record order,
-    /// rendering through one reused buffer.
-    fn for_each_rendered(&self, mut f: impl FnMut(&str)) {
-        for e in &self.restored {
-            f(e);
-        }
-        let mut buf = String::new();
-        for rec in &self.records {
-            buf.clear();
-            rec.render(&mut buf);
-            f(&buf);
-        }
-    }
-
-    /// Serialize the buffered events (as rendered JSON text), cap, drop
-    /// counter, and named-track sets (sorted) into a checkpoint.
-    pub fn save_state(&self, w: &mut fgnvm_types::SnapshotWriter) {
+    /// Serialize the cap, drop counter, name table, buffered events (as
+    /// binary records) and named-track sets (sorted) into a checkpoint.
+    /// Nothing is rendered.
+    pub fn save_state(&self, w: &mut SnapshotWriter) {
         w.tag("trace");
         w.usize(self.cap);
         w.u64(self.dropped);
-        w.usize(self.len());
-        self.for_each_rendered(|e| w.str(e));
+        w.usize(self.names.len());
+        for name in &self.names {
+            w.str(name);
+        }
+        w.usize(self.records.len());
+        for rec in &self.records {
+            rec.save(w);
+        }
         w.usize(self.named_procs.len());
         for p in &self.named_procs {
             w.u32(*p);
@@ -291,33 +384,43 @@ impl TraceSink {
     }
 
     /// Restore a sink written by [`TraceSink::save_state`] into this one,
-    /// replacing its current contents (including the capacity). Restored
-    /// events stay as the rendered text the checkpoint holds.
+    /// replacing its current contents (including the capacity).
     ///
     /// # Errors
     ///
-    /// Returns a [`SnapshotError`](fgnvm_types::SnapshotError) on a
-    /// truncated or mistagged stream.
-    pub fn load_state(
-        &mut self,
-        r: &mut fgnvm_types::SnapshotReader<'_>,
-    ) -> Result<(), fgnvm_types::SnapshotError> {
+    /// Returns a [`SnapshotError`] on a truncated or mistagged stream, an
+    /// event whose phase or name index is out of range, or more events
+    /// than the cap admits.
+    pub fn load_state(&mut self, r: &mut SnapshotReader<'_>) -> Result<(), SnapshotError> {
         r.tag("trace")?;
         self.cap = r.usize()?;
         self.dropped = r.u64()?;
         let n = r.usize()?;
-        self.records = Vec::new();
-        self.restored = Vec::with_capacity(n.min(self.cap));
+        self.names.clear();
+        self.memo = [None; MEMO_SLOTS];
         for _ in 0..n {
-            self.restored.push(r.str()?);
+            self.names.push(Cow::Owned(r.str()?));
         }
         let n = r.usize()?;
-        self.named_procs = Vec::with_capacity(n);
+        if n > self.cap {
+            return Err(SnapshotError::Corrupt(format!(
+                "trace holds {n} events, over its cap of {}",
+                self.cap
+            )));
+        }
+        self.records.clear();
+        // Every record takes at least one byte.
+        self.records.reserve(n.min(r.remaining()));
+        for _ in 0..n {
+            self.records.push(Record::load(r, self.names.len())?);
+        }
+        let n = r.usize()?;
+        self.named_procs = Vec::with_capacity(n.min(r.remaining()));
         for _ in 0..n {
             insert_sorted(&mut self.named_procs, r.u32()?);
         }
         let n = r.usize()?;
-        self.named_tracks = Vec::with_capacity(n);
+        self.named_tracks = Vec::with_capacity(n.min(r.remaining()));
         for _ in 0..n {
             insert_sorted(&mut self.named_tracks, (r.u32()?, r.u32()?));
         }
@@ -328,14 +431,12 @@ impl TraceSink {
     /// (`{"traceEvents": [...]}`), loadable at `ui.perfetto.dev`.
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-        let mut first = true;
-        self.for_each_rendered(|e| {
-            if !first {
+        for (i, rec) in self.records.iter().enumerate() {
+            if i > 0 {
                 out.push(',');
             }
-            first = false;
-            out.push_str(e);
-        });
+            rec.render(&self.names[rec.name as usize], &mut out);
+        }
         out.push_str("]}");
         out
     }
@@ -426,7 +527,7 @@ mod tests {
     }
 
     fn snapshot(sink: &TraceSink) -> Vec<u8> {
-        let mut w = fgnvm_types::SnapshotWriter::new();
+        let mut w = SnapshotWriter::new();
         sink.save_state(&mut w);
         w.finish()
     }
@@ -442,7 +543,7 @@ mod tests {
             }
             let bytes = snapshot(&first);
             let mut resumed = TraceSink::with_capacity(1);
-            let mut r = fgnvm_types::SnapshotReader::new(&bytes).expect("readable");
+            let mut r = SnapshotReader::new(&bytes).expect("readable");
             resumed.load_state(&mut r).expect("decodes");
             assert_eq!(snapshot(&resumed), bytes, "cut {cut}: restore is lossless");
             for i in cut..40 {
@@ -454,6 +555,122 @@ mod tests {
             assert_eq!(resumed.dropped(), straight.dropped(), "cut {cut}");
             assert_eq!(resumed.to_json(), straight.to_json(), "cut {cut}");
             assert_eq!(snapshot(&resumed), snapshot(&straight), "cut {cut}");
+        }
+    }
+
+    #[test]
+    fn restore_then_new_names_and_tracks_render_like_an_uninterrupted_sink() {
+        // Before the cut: one track, a slice and an instant. After it: a
+        // new track (fresh process and thread metadata) and two names the
+        // name table read back from the checkpoint has never seen.
+        let before = |sink: &mut TraceSink| {
+            sink.slice(0, 1, "activate", 10, 40, args(1, 5));
+            sink.instant(0, 1, "decision:clear", 10);
+        };
+        let after = |sink: &mut TraceSink| {
+            sink.slice(0, 1, "activate", 60, 40, args(2, 6));
+            sink.slice(1, 0, "row-hit", 70, 8, args(3, 6));
+            sink.instant(1, 0, "watchdog", 90);
+        };
+        let mut straight = TraceSink::default();
+        before(&mut straight);
+        after(&mut straight);
+
+        let mut first = TraceSink::default();
+        before(&mut first);
+        let bytes = snapshot(&first);
+        // Restore over a sink whose own table put the same labels at
+        // other indices: nothing it memoized may survive the restore.
+        let mut resumed = TraceSink::with_capacity(8);
+        resumed.instant(5, 5, "watchdog", 1);
+        resumed.slice(5, 5, "activate", 2, 1, SliceArgs::default());
+        let mut r = SnapshotReader::new(&bytes).expect("readable");
+        resumed.load_state(&mut r).expect("decodes");
+        r.expect_end().expect("whole section consumed");
+        assert!(!resumed.to_json().contains("row-hit"));
+        after(&mut resumed);
+
+        let json = straight.to_json();
+        for phase in ["\"ph\":\"M\"", "\"ph\":\"X\"", "\"ph\":\"i\""] {
+            assert!(json.contains(phase), "{phase} missing from {json}");
+        }
+        assert_eq!(json.matches("process_name").count(), 2);
+        assert_eq!(json.matches("thread_name").count(), 2);
+        assert_eq!(resumed.to_json(), json);
+        assert_eq!(snapshot(&resumed), snapshot(&straight));
+    }
+
+    /// A trace section with a one-entry name table, `cap` 8 and the
+    /// records `write_records` emits, sealed as a snapshot.
+    fn section(count: usize, write_records: impl FnOnce(&mut SnapshotWriter)) -> Vec<u8> {
+        let mut w = SnapshotWriter::new();
+        w.tag("trace");
+        w.usize(8);
+        w.u64(0);
+        w.usize(1);
+        w.str("write");
+        w.usize(count);
+        write_records(&mut w);
+        w.usize(0);
+        w.usize(0);
+        w.finish()
+    }
+
+    fn load(bytes: &[u8]) -> Result<TraceSink, SnapshotError> {
+        let mut sink = TraceSink::default();
+        let mut r = SnapshotReader::new(bytes)?;
+        sink.load_state(&mut r)?;
+        r.expect_end()?;
+        Ok(sink)
+    }
+
+    /// Writes one instant record: phase byte, name index, channel, bank, ts.
+    fn instant_record(w: &mut SnapshotWriter, phase: u8, name: u64) {
+        w.u8(phase);
+        for v in [name, 0, 0, 5] {
+            w.var_u64(v);
+        }
+    }
+
+    #[test]
+    fn hostile_trace_sections_are_structured_errors() {
+        let good = section(1, |w| instant_record(w, 3, 0));
+        let sink = load(&good).expect("well-formed section decodes");
+        assert!(sink.to_json().contains("\"name\":\"write\""));
+
+        let bad_name = section(1, |w| instant_record(w, 3, 1));
+        assert!(matches!(load(&bad_name), Err(SnapshotError::Corrupt(m)) if m.contains("names")));
+        let bad_phase = section(1, |w| instant_record(w, 7, 0));
+        assert!(matches!(load(&bad_phase), Err(SnapshotError::Corrupt(m)) if m.contains("phase")));
+        let over_cap = section(9, |w| {
+            for _ in 0..9 {
+                instant_record(w, 3, 0);
+            }
+        });
+        assert!(matches!(load(&over_cap), Err(SnapshotError::Corrupt(m)) if m.contains("cap")));
+    }
+
+    #[test]
+    fn every_truncation_of_a_trace_section_is_an_error() {
+        let mut sink = TraceSink::default();
+        for i in 0..12 {
+            record(&mut sink, i);
+        }
+        let bytes = snapshot(&sink);
+        let payload = &bytes[..bytes.len() - 8];
+        let header = fgnvm_types::snapshot::SNAPSHOT_MAGIC.len() + 4;
+        // Cut the payload at every byte past the header (so inside every
+        // record and varint) and re-seal it, so only the decoder can
+        // notice.
+        for cut in header..payload.len() {
+            let mut resealed = payload[..cut].to_vec();
+            let sum = fgnvm_types::fnv1a64(&resealed);
+            resealed.extend_from_slice(&sum.to_le_bytes());
+            assert!(
+                matches!(load(&resealed), Err(SnapshotError::Truncated { .. })),
+                "cut at {cut} of {}",
+                payload.len()
+            );
         }
     }
 }

@@ -12,9 +12,10 @@
 //! Three robustness mechanisms live here:
 //!
 //! - **Deterministic checkpoint/restore** — [`save_checkpoint`] /
-//!   [`load_checkpoint`] wrap [`MemorySystem::save_snapshot`] with the
-//!   serve driver's own state (arrival cursor, backoff queue, watchdog
-//!   progress marker) so the whole run is a pure function of
+//!   [`load_checkpoint`] write the serve driver's own state (arrival
+//!   cursor, backoff queue, watchdog progress marker) followed inline by
+//!   the memory-system section ([`MemorySystem::save_into`]), under one
+//!   checksum trailer, so the whole run is a pure function of
 //!   `(config, ServeConfig)` no matter how many times it is killed.
 //! - **Admission control & backpressure** — the controller's bounded
 //!   request queues are the admission door; a full queue either rejects
@@ -407,12 +408,13 @@ impl ServeState {
     }
 }
 
-/// Serializes the driver state and the full memory-system snapshot into
-/// one self-describing checkpoint blob.
+/// Serializes the driver state and the full memory-system state into
+/// one self-describing checkpoint blob, in one pass under one checksum
+/// trailer.
 pub fn save_checkpoint(state: &ServeState, mem: &MemorySystem) -> Vec<u8> {
     let mut w = SnapshotWriter::new();
     state.save_state(&mut w);
-    w.bytes(&mem.save_snapshot());
+    mem.save_into(&mut w);
     w.finish()
 }
 
@@ -429,9 +431,8 @@ pub fn load_checkpoint(
 ) -> Result<(ServeState, MemorySystem), SimError> {
     let mut r = SnapshotReader::new(bytes)?;
     let state = ServeState::load_state(&mut r)?;
-    let mem_bytes = r.bytes()?;
+    let mem = MemorySystem::restore_from(config, &mut r)?;
     r.expect_end()?;
-    let mem = MemorySystem::restore(config, &mem_bytes)?;
     Ok((state, mem))
 }
 
@@ -1448,21 +1449,108 @@ mod tests {
         assert!(!report.metrics_json.contains("obs.telemetry."));
     }
 
+    /// Re-seals `payload` (a checkpoint without its trailer) with a fresh
+    /// checksum, so only the decoder can notice what was done to it.
+    fn reseal(payload: &[u8]) -> Vec<u8> {
+        let mut out = payload.to_vec();
+        out.extend_from_slice(&fgnvm_types::fnv1a64(payload).to_le_bytes());
+        out
+    }
+
+    /// Offset of the section tagged `tag` (its length prefix) in `bytes`.
+    fn section_at(bytes: &[u8], tag: &str) -> usize {
+        let mut needle = (tag.len() as u32).to_le_bytes().to_vec();
+        needle.extend_from_slice(tag.as_bytes());
+        bytes
+            .windows(needle.len())
+            .position(|w| w == needle)
+            .unwrap_or_else(|| panic!("no `{tag}` section"))
+    }
+
     #[test]
     fn corrupt_checkpoint_is_a_structured_error() {
         let mut mem = MemorySystem::new(small_cfg()).expect("config valid");
         mem.enable_observer();
-        let blob = save_checkpoint(&ServeState::fresh(), &mem);
-        // Truncations and bit flips must decode to errors, never panic.
-        for cut in [0, 5, blob.len() / 2, blob.len() - 1] {
-            assert!(load_checkpoint(small_cfg(), &blob[..cut]).is_err());
+        let empty = save_checkpoint(&ServeState::fresh(), &mem);
+
+        // A mid-run checkpoint of an audited serve, whose trace and
+        // attribution sections hold real events and records.
+        let dir = std::env::temp_dir().join("fgnvm-serve-corrupt");
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut sc = quick_sc();
+        sc.audit = true;
+        sc.checkpoint_every = 4_000;
+        sc.checkpoint_dir = Some(dir.clone());
+        serve(small_cfg(), &sc).expect("checkpointing run");
+        let mid = std::fs::read(dir.join(format!("ckpt-{:012}.ckpt", 4_000))).expect("checkpoint");
+        let _ = std::fs::remove_dir_all(&dir);
+        let (_, restored) = load_checkpoint(small_cfg(), &mid).expect("mid-run checkpoint loads");
+        let obs = restored.observer().expect("serve runs the observer");
+        assert!(!obs.trace.is_empty());
+        assert!(!obs.attribution.requests.is_empty());
+
+        for blob in [&empty, &mid] {
+            // Truncations and bit flips must decode to errors, never panic.
+            for cut in [0, 5, blob.len() / 2, blob.len() - 1] {
+                assert!(load_checkpoint(small_cfg(), &blob[..cut]).is_err());
+            }
+            let mut flipped = blob.clone();
+            let at = flipped.len() / 2;
+            flipped[at] ^= 0xff;
+            assert!(load_checkpoint(small_cfg(), &flipped).is_err());
+            // And the pristine blob still loads.
+            assert!(load_checkpoint(small_cfg(), blob).is_ok());
         }
-        let mut flipped = blob.clone();
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0xff;
-        assert!(load_checkpoint(small_cfg(), &flipped).is_err());
-        // And the pristine blob still loads.
-        assert!(load_checkpoint(small_cfg(), &blob).is_ok());
+
+        // Past the checksum: re-sealed cuts through the trace section (the
+        // attribution section follows it) and the rest of the checkpoint
+        // must each run out of bytes.
+        let payload = &mid[..mid.len() - 8];
+        let trace = section_at(payload, "trace");
+        let attr = section_at(payload, "attr");
+        assert!(trace < attr);
+        let cuts = (trace..attr)
+            .step_by((attr - trace) / 64 + 1)
+            .chain((attr..payload.len()).step_by((payload.len() - attr) / 64 + 1));
+        for cut in cuts {
+            assert!(
+                matches!(
+                    load_checkpoint(small_cfg(), &reseal(&payload[..cut])),
+                    Err(SimError::Snapshot(SnapshotError::Truncated { .. }))
+                ),
+                "cut at {cut} (trace at {trace}, attr at {attr})"
+            );
+        }
+
+        // A hostile first trace record: an unknown phase byte, then a name
+        // index past the table. The section opens with its tag, cap, drop
+        // counter and name table, then the record count.
+        let mut at = trace + 4 + "trace".len() + 8 + 8;
+        let word = |at: usize, n: usize| {
+            let mut le = [0u8; 8];
+            le[..n].copy_from_slice(&payload[at..at + n]);
+            u64::from_le_bytes(le) as usize
+        };
+        let names = word(at, 8);
+        assert!(
+            names > 0 && names < 0x7f,
+            "{names} names fit one varint byte"
+        );
+        at += 8;
+        for _ in 0..names {
+            at += 4 + word(at, 4);
+        }
+        at += 8;
+        for (offset, why) in [(at, "phase"), (at + 1, "names")] {
+            let mut bent = payload.to_vec();
+            bent[offset] = 0x7f;
+            match load_checkpoint(small_cfg(), &reseal(&bent)) {
+                Err(SimError::Snapshot(SnapshotError::Corrupt(m))) => {
+                    assert!(m.contains(why), "{m}")
+                }
+                other => panic!("bent {why} byte decoded as {:?}", other.map(|_| ())),
+            }
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! deliberately simple and fully deterministic:
 //!
 //! * an 8-byte magic (`FGNVMCK1`) and a `u32` format version up front;
-//! * little-endian fixed-width primitives, length-prefixed strings and
-//!   byte blobs;
+//! * little-endian fixed-width primitives, LEB128 variable-length
+//!   integers for bulk records, length-prefixed strings and byte blobs;
 //! * structure tags (short ASCII strings) at every aggregate boundary, so
 //!   a reader that drifts out of sync fails with [`SnapshotError::BadTag`]
 //!   instead of silently misinterpreting bytes;
@@ -48,7 +48,13 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"FGNVMCK1";
 /// five-part latency breakdowns and the never-issued and re-issue
 /// counters. The checksum trailer is now textbook FNV-1a (prime
 /// `0x100_0000_01b3`).
-pub const SNAPSHOT_VERSION: u32 = 5;
+///
+/// v6: one checksum trailer per checkpoint. The serve checkpoint carries
+/// the memory-system section inline instead of as a nested, separately
+/// sealed snapshot blob, and the trace section stores its events as
+/// binary records (phase byte, then LEB128 fields) that index a
+/// per-sink name table, instead of as rendered JSON text.
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 /// Why a snapshot could not be decoded.
 ///
@@ -179,6 +185,18 @@ impl SnapshotWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    /// Writes a `u64` as a LEB128 varint: seven bits per byte, low
+    /// groups first, the high bit set on every byte but the last. Small
+    /// values such as ids, coordinates and durations take one to three
+    /// bytes instead of eight.
+    pub fn var_u64(&mut self, mut v: u64) {
+        while v >= 0x80 {
+            self.buf.push(v as u8 | 0x80);
+            v >>= 7;
+        }
+        self.buf.push(v as u8);
+    }
+
     /// Writes a little-endian `u128`.
     pub fn u128(&mut self, v: u128) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -276,7 +294,7 @@ impl<'a> SnapshotReader<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], SnapshotError> {
-        let available = self.buf.len() - self.pos;
+        let available = self.remaining();
         if available < n {
             return Err(SnapshotError::Truncated {
                 expected: n,
@@ -295,11 +313,12 @@ impl<'a> SnapshotReader<'a> {
     /// Returns [`SnapshotError::BadTag`] if the stream carries a different
     /// tag at this position.
     pub fn tag(&mut self, expected: &str) -> Result<(), SnapshotError> {
-        let found = self.str()?;
-        if found != expected {
+        let len = self.u32()? as usize;
+        let found = self.take(len)?;
+        if found != expected.as_bytes() {
             return Err(SnapshotError::BadTag {
                 expected: expected.into(),
-                found,
+                found: String::from_utf8_lossy(found).into_owned(),
             });
         }
         Ok(())
@@ -347,6 +366,48 @@ impl<'a> SnapshotReader<'a> {
         Ok(u64::from_le_bytes(
             self.take(8)?.try_into().expect("8 bytes"),
         ))
+    }
+
+    /// Reads a LEB128 varint written by [`SnapshotWriter::var_u64`].
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SnapshotError::Truncated`] if the stream ends inside the
+    /// varint and [`SnapshotError::Corrupt`] if it runs past ten bytes or
+    /// overflows 64 bits.
+    pub fn var_u64(&mut self) -> Result<u64, SnapshotError> {
+        let mut v = 0u64;
+        for shift in (0..64).step_by(7) {
+            let byte = self.u8()?;
+            let bits = u64::from(byte & 0x7f);
+            if shift == 63 && bits > 1 {
+                return Err(SnapshotError::Corrupt("varint overflows 64 bits".into()));
+            }
+            v |= bits << shift;
+            if byte & 0x80 == 0 {
+                return Ok(v);
+            }
+        }
+        Err(SnapshotError::Corrupt(
+            "varint longer than ten bytes".into(),
+        ))
+    }
+
+    /// Reads a varint that must fit a `u32`.
+    ///
+    /// # Errors
+    ///
+    /// As [`var_u64`](Self::var_u64), plus [`SnapshotError::Corrupt`]
+    /// when the value exceeds `u32::MAX`.
+    pub fn var_u32(&mut self) -> Result<u32, SnapshotError> {
+        let v = self.var_u64()?;
+        u32::try_from(v).map_err(|_| SnapshotError::Corrupt(format!("u32 overflow: {v}")))
+    }
+
+    /// Bytes left before the end of the payload: an upper bound on how
+    /// many further elements a length prefix can honestly announce.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
     }
 
     /// Reads a little-endian `u128`.
@@ -435,7 +496,7 @@ impl<'a> SnapshotReader<'a> {
     ///
     /// Returns [`SnapshotError::Corrupt`] if bytes remain.
     pub fn expect_end(&self) -> Result<(), SnapshotError> {
-        let remaining = self.buf.len() - self.pos;
+        let remaining = self.remaining();
         if remaining != 0 {
             return Err(SnapshotError::Corrupt(format!(
                 "{remaining} unread bytes after the last field"
@@ -458,6 +519,9 @@ mod tests {
         w.u32(0xdead_beef);
         w.u64(u64::MAX - 3);
         w.u128(u128::MAX / 3);
+        for v in [0, 1, 127, 128, 300, u64::from(u32::MAX), u64::MAX] {
+            w.var_u64(v);
+        }
         w.usize(12345);
         w.f64(-0.125);
         w.opt_u32(Some(9));
@@ -473,6 +537,9 @@ mod tests {
         assert_eq!(r.u32().unwrap(), 0xdead_beef);
         assert_eq!(r.u64().unwrap(), u64::MAX - 3);
         assert_eq!(r.u128().unwrap(), u128::MAX / 3);
+        for v in [0, 1, 127, 128, 300, u64::from(u32::MAX), u64::MAX] {
+            assert_eq!(r.var_u64().unwrap(), v);
+        }
         assert_eq!(r.usize().unwrap(), 12345);
         assert_eq!(r.f64().unwrap(), -0.125);
         assert_eq!(r.opt_u32().unwrap(), Some(9));
@@ -555,13 +622,58 @@ mod tests {
     }
 
     #[test]
+    fn varints_encode_compactly_and_reject_hostile_bytes() {
+        let encode = |v: u64| {
+            let mut w = SnapshotWriter::new();
+            w.var_u64(v);
+            w.finish()
+        };
+        let header = SNAPSHOT_MAGIC.len() + 4;
+        assert_eq!(encode(127).len(), header + 1 + 8);
+        assert_eq!(encode(128).len(), header + 2 + 8);
+        assert_eq!(encode(u64::MAX).len(), header + 10 + 8);
+
+        let decode = |payload: &[u8]| {
+            let mut w = SnapshotWriter::new();
+            for &b in payload {
+                w.u8(b);
+            }
+            let bytes = w.finish();
+            SnapshotReader::new(&bytes).unwrap().var_u64()
+        };
+        // Ends inside the varint.
+        assert!(matches!(
+            decode(&[0x80, 0x80]),
+            Err(SnapshotError::Truncated { .. })
+        ));
+        // Eleven bytes, and a tenth byte carrying more than bit 63.
+        assert!(matches!(
+            decode(&[0xff; 11]),
+            Err(SnapshotError::Corrupt(_))
+        ));
+        let mut over = [0xff; 10];
+        over[9] = 0x02;
+        assert!(matches!(decode(&over), Err(SnapshotError::Corrupt(_))));
+        // A varint past u32::MAX is rejected where a u32 is expected.
+        let bytes = encode(u64::from(u32::MAX) + 1);
+        let mut r = SnapshotReader::new(&bytes).unwrap();
+        assert!(matches!(r.var_u32(), Err(SnapshotError::Corrupt(_))));
+    }
+
+    #[test]
     fn tag_mismatch_is_reported() {
         let mut w = SnapshotWriter::new();
         w.tag("controller");
         let bytes = w.finish();
         let mut r = SnapshotReader::new(&bytes).unwrap();
         let err = r.tag("bank").unwrap_err();
-        assert!(matches!(err, SnapshotError::BadTag { .. }));
+        assert_eq!(
+            err,
+            SnapshotError::BadTag {
+                expected: "bank".into(),
+                found: "controller".into(),
+            }
+        );
         assert!(err.to_string().contains("bank"));
     }
 }
