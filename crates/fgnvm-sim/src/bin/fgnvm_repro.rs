@@ -350,6 +350,10 @@ fn emit_to(table: &Table, format: Format, out_dir: Option<&std::path::Path>) {
     }
 }
 
+/// Registered studies `all` leaves out: the per-epoch and per-workload
+/// dumps, and the serve-driven horizon sweep.
+const NOT_IN_ALL: [&str; 3] = ["timeline", "detail", "reliability-horizon"];
+
 fn run(cli: &Cli) -> Result<(), String> {
     let p = &cli.params;
     fgnvm_sim::runner::set_jobs(cli.jobs);
@@ -364,6 +368,23 @@ fn run(cli: &Cli) -> Result<(), String> {
     };
     let fail = |e: fgnvm_types::ConfigError| e.to_string();
     let emit = |table: &Table, format: Format| emit_to(table, format, cli.out_dir.as_deref());
+    // `serve` and `fairness` read --ops as an arrival count, where 0 is a
+    // valid (idle) run; everywhere else it is a trace length.
+    if p.ops == 0 && !matches!(cli.command.as_str(), "serve" | "fairness") {
+        return Err("--ops must be at least 1: it sets the trace length".into());
+    }
+    let study_name = match cli.command.as_str() {
+        "reliability" if cli.horizon > 0 => "reliability-horizon",
+        other => other,
+    };
+    if let Some(run_study) = fgnvm_sim::study(study_name) {
+        let study = run_study(p).map_err(|e| e.to_string())?;
+        emit(&study.to_table(), format);
+        if matches!(format, Format::Text) {
+            print!("{}", study.ascii);
+        }
+        return Ok(());
+    }
     match cli.command.as_str() {
         "table1" => emit(&experiment::table1(), format),
         "table2" => emit(&experiment::table2(), format),
@@ -372,124 +393,8 @@ fn run(cli: &Cli) -> Result<(), String> {
         "ablation" => emit(&experiment::ablation(p).map_err(fail)?.to_table(), format),
         "sweep" => emit(&experiment::sweep(p).map_err(fail)?.to_table(), format),
         "summary" => emit(&experiment::summary(p).map_err(fail)?.to_table(), format),
-        "dims" => emit(
-            &fgnvm_sim::extensions::dimensions(p)
-                .map_err(fail)?
-                .to_table(),
-            format,
-        ),
-        "sched" => emit(
-            &fgnvm_sim::extensions::schedulers(p)
-                .map_err(fail)?
-                .to_table(),
-            format,
-        ),
-        "maps" => emit(
-            &fgnvm_sim::extensions::mappings(p).map_err(fail)?.to_table(),
-            format,
-        ),
-        "tech" => emit(
-            &fgnvm_sim::extensions::technology(p)
-                .map_err(fail)?
-                .to_table(),
-            format,
-        ),
-        "pause" => emit(
-            &fgnvm_sim::extensions::pausing(p).map_err(fail)?.to_table(),
-            format,
-        ),
-        "scaling" => emit(
-            &fgnvm_sim::extensions::scaling(p).map_err(fail)?.to_table(),
-            format,
-        ),
-        "mlc" => emit(
-            &fgnvm_sim::extensions::cells(p).map_err(fail)?.to_table(),
-            format,
-        ),
-        "mix" => emit(
-            &fgnvm_sim::extensions::multiprogrammed(p)
-                .map_err(fail)?
-                .to_table(),
-            format,
-        ),
-        "coloring" => emit(
-            &fgnvm_sim::extensions::coloring(p).map_err(fail)?.to_table(),
-            format,
-        ),
-        "timeline" => emit(
-            &fgnvm_sim::extensions::timeline(p).map_err(fail)?.to_table(),
-            format,
-        ),
-        "writes" => emit(
-            &fgnvm_sim::extensions::write_sweep(p)
-                .map_err(fail)?
-                .to_table(),
-            format,
-        ),
-        "depth" => emit(
-            &fgnvm_sim::extensions::depth_sweep(p)
-                .map_err(fail)?
-                .to_table(),
-            format,
-        ),
-        "detail" => emit(
-            &fgnvm_sim::extensions::detail(p).map_err(fail)?.to_table(),
-            format,
-        ),
-        "cores" => emit(
-            &fgnvm_sim::extensions::cores(p).map_err(fail)?.to_table(),
-            format,
-        ),
-        "hybrid" => emit(
-            &fgnvm_sim::extensions::hybrid(p).map_err(fail)?.to_table(),
-            format,
-        ),
-        "reliability" => {
-            if cli.horizon > 0 {
-                emit(
-                    &fgnvm_sim::extensions::reliability_horizon(p)
-                        .map_err(|e| e.to_string())?
-                        .to_table(),
-                    format,
-                )
-            } else {
-                emit(
-                    &fgnvm_sim::extensions::reliability(p)
-                        .map_err(|e| e.to_string())?
-                        .to_table(),
-                    format,
-                )
-            }
-        }
         "serve" => serve_command(cli)?,
         "fairness" => fairness_command(cli)?,
-        "tail" => {
-            let result = fgnvm_sim::extensions::tail_latency(p).map_err(fail)?;
-            emit(&result.to_table(), format);
-            if matches!(format, Format::Text) {
-                for row in &result.rows {
-                    println!("\n{}:", row.design);
-                    print!(
-                        "{}",
-                        fgnvm_sim::viz::render_latency_histogram(&row.hist, 48)
-                    );
-                }
-            }
-        }
-        "wear" => emit(
-            &fgnvm_sim::extensions::wear(p).map_err(fail)?.to_table(),
-            format,
-        ),
-        "policy" => emit(
-            &fgnvm_sim::extensions::page_policy(p)
-                .map_err(fail)?
-                .to_table(),
-            format,
-        ),
-        "mlp" => emit(
-            &fgnvm_sim::extensions::mlp(p).map_err(fail)?.to_table(),
-            format,
-        ),
         "observe" => {
             let config = match cli.args.first() {
                 Some(path) => load_config(path)?,
@@ -552,96 +457,11 @@ fn run(cli: &Cli) -> Result<(), String> {
             emit(&experiment::fig5(p).map_err(fail)?.to_table(), format);
             emit(&experiment::ablation(p).map_err(fail)?.to_table(), format);
             emit(&experiment::sweep(p).map_err(fail)?.to_table(), format);
-            emit(
-                &fgnvm_sim::extensions::dimensions(p)
-                    .map_err(fail)?
-                    .to_table(),
-                format,
-            );
-            emit(
-                &fgnvm_sim::extensions::schedulers(p)
-                    .map_err(fail)?
-                    .to_table(),
-                format,
-            );
-            emit(
-                &fgnvm_sim::extensions::mappings(p).map_err(fail)?.to_table(),
-                format,
-            );
-            emit(
-                &fgnvm_sim::extensions::technology(p)
-                    .map_err(fail)?
-                    .to_table(),
-                format,
-            );
-            emit(
-                &fgnvm_sim::extensions::pausing(p).map_err(fail)?.to_table(),
-                format,
-            );
-            emit(
-                &fgnvm_sim::extensions::scaling(p).map_err(fail)?.to_table(),
-                format,
-            );
-            emit(
-                &fgnvm_sim::extensions::cells(p).map_err(fail)?.to_table(),
-                format,
-            );
-            emit(
-                &fgnvm_sim::extensions::multiprogrammed(p)
-                    .map_err(fail)?
-                    .to_table(),
-                format,
-            );
-            emit(
-                &fgnvm_sim::extensions::coloring(p).map_err(fail)?.to_table(),
-                format,
-            );
-            emit(
-                &fgnvm_sim::extensions::write_sweep(p)
-                    .map_err(fail)?
-                    .to_table(),
-                format,
-            );
-            emit(
-                &fgnvm_sim::extensions::depth_sweep(p)
-                    .map_err(fail)?
-                    .to_table(),
-                format,
-            );
-            emit(
-                &fgnvm_sim::extensions::cores(p).map_err(fail)?.to_table(),
-                format,
-            );
-            emit(
-                &fgnvm_sim::extensions::tail_latency(p)
-                    .map_err(fail)?
-                    .to_table(),
-                format,
-            );
-            emit(
-                &fgnvm_sim::extensions::wear(p).map_err(fail)?.to_table(),
-                format,
-            );
-            emit(
-                &fgnvm_sim::extensions::page_policy(p)
-                    .map_err(fail)?
-                    .to_table(),
-                format,
-            );
-            emit(
-                &fgnvm_sim::extensions::mlp(p).map_err(fail)?.to_table(),
-                format,
-            );
-            emit(
-                &fgnvm_sim::extensions::hybrid(p).map_err(fail)?.to_table(),
-                format,
-            );
-            emit(
-                &fgnvm_sim::extensions::reliability(p)
-                    .map_err(|e| e.to_string())?
-                    .to_table(),
-                format,
-            );
+            for (name, run_study) in fgnvm_sim::STUDIES {
+                if !NOT_IN_ALL.contains(name) {
+                    emit(&run_study(p).map_err(|e| e.to_string())?.to_table(), format);
+                }
+            }
             emit(&experiment::summary(p).map_err(fail)?.to_table(), format);
         }
         other => return Err(format!("unknown command: {other}\n{}", usage())),
@@ -882,17 +702,24 @@ fn regress(params: &ExperimentParams) -> Result<(), String> {
     let (avg, max) = AreaModel::paper_calibrated().table1();
     check("table1 avg um2", avg.total_um2(), 2930.0, 2990.0);
     check("table1 max %", max.percent_of_chip, 0.33, 0.42);
-    let tail = fgnvm_sim::extensions::tail_latency(&fixed).map_err(|e| e.to_string())?;
-    let base_p99 = tail.row("baseline").expect("baseline row").p99;
-    let fg_p99 = tail.row("FgNVM 8x8").expect("fgnvm row").p99;
-    check("tail p99 contraction", base_p99 / fg_p99, 1.3, 6.0);
-    let wear = fgnvm_sim::extensions::wear(&fixed).map_err(|e| e.to_string())?;
-    let leveled = wear.row("start-gap /8").expect("leveled row");
-    check("wear lifetime gain", leveled.lifetime_gain, 2.0, 30.0);
-    check("wear relative ipc", leveled.relative_ipc, 0.85, 1.5);
-    let mlp = fgnvm_sim::extensions::mlp(&fixed).map_err(|e| e.to_string())?;
-    let narrow = mlp.rows.first().expect("narrow window row").speedup();
-    let wide = mlp.rows.last().expect("wide window row").speedup();
+    let run = |name: &str| {
+        let study = fgnvm_sim::study(name).expect("registered study");
+        study(&fixed).map_err(|e| e.to_string())
+    };
+    let tail = run("tail")?;
+    let p99 = |design: &str| tail.value(&[design], "~p99").expect("tail row");
+    check(
+        "tail p99 contraction",
+        p99("baseline") / p99("FgNVM 8x8"),
+        1.3,
+        6.0,
+    );
+    let wear = run("wear")?;
+    let leveled = |column: &str| wear.value(&["start-gap /8"], column).expect("leveled row");
+    check("wear lifetime gain", leveled("lifetime gain"), 2.0, 30.0);
+    check("wear relative ipc", leveled("relative IPC"), 0.85, 1.5);
+    let mlp = run("mlp")?.values(&[], "speedup");
+    let (narrow, wide) = (mlp[0], mlp[mlp.len() - 1]);
     check("mlp speedup growth", wide / narrow, 1.10, 2.5);
     if failures.is_empty() {
         println!("regression check passed");

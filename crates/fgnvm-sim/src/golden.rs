@@ -1,10 +1,11 @@
-//! Golden-snapshot harness for the paper artifacts.
+//! Golden-snapshot harness for the paper artifacts and every study.
 //!
 //! The headline outputs — Table 1, Table 2, and the CSV forms of Fig. 4
-//! and Fig. 5 — are pinned byte-for-byte under `tests/goldens/`. The
-//! experiments are deterministic (fixed seeds, fixed parameters), so any
-//! diff is a behavior change: either a bug, or an intentional model change
-//! that must be *blessed* explicitly:
+//! and Fig. 5 — and the CSV of every study in [`STUDIES`] are pinned
+//! byte-for-byte under `tests/goldens/<name>.csv`. The experiments are
+//! deterministic (fixed seeds, fixed parameters), so any diff is a
+//! behavior change: either a bug, or an intentional model change that
+//! must be *blessed* explicitly:
 //!
 //! ```text
 //! FGNVM_BLESS=1 cargo test -p fgnvm-sim --test golden_snapshots
@@ -17,10 +18,20 @@
 use std::path::PathBuf;
 
 use crate::experiment;
+use crate::extensions::{study, STUDIES};
 use crate::runner::ExperimentParams;
 
-/// Snapshot names, in check order. Each maps to `tests/goldens/<name>.csv`.
-pub const SNAPSHOTS: [&str; 4] = ["table1", "table2", "fig4", "fig5"];
+/// The paper-artifact snapshot names. Each maps to
+/// `tests/goldens/<name>.csv`.
+pub const PAPER_SNAPSHOTS: [&str; 4] = ["table1", "table2", "fig4", "fig5"];
+
+/// Every snapshot name, in check order: the paper artifacts, then every
+/// registered study under its command name.
+pub fn snapshots() -> impl Iterator<Item = &'static str> {
+    PAPER_SNAPSHOTS
+        .into_iter()
+        .chain(STUDIES.iter().map(|&(name, _)| name))
+}
 
 /// The directory holding the checked-in goldens.
 pub fn golden_dir() -> PathBuf {
@@ -54,7 +65,10 @@ pub fn snapshot(name: &str) -> Result<String, String> {
             .map_err(|e| e.to_string())?
             .to_table()
             .to_csv()),
-        other => Err(format!("unknown snapshot {other:?}")),
+        other => {
+            let run = study(other).ok_or_else(|| format!("unknown snapshot {other:?}"))?;
+            Ok(run(&params).map_err(|e| e.to_string())?.to_table().to_csv())
+        }
     }
 }
 

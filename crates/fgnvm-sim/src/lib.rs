@@ -46,10 +46,7 @@ pub use experiment::{
     ablation, fig4, fig5, summary, sweep, table1, table2, AblationResult, Fig4Result, Fig5Result,
     Summary, SweepResult,
 };
-pub use extensions::{
-    cells, coloring, cores, depth_sweep, dimensions, hybrid, mappings, multiprogrammed, pausing,
-    scaling, schedulers, technology, timeline, write_sweep,
-};
+pub use extensions::{study, Cell, Fmt, Study, StudyFn, STUDIES};
 pub use observe::{observe, ObserveOutcome};
 pub use profile::{
     compare_ledgers, parse_ledger, profile, CompareOutcome, MetricDelta, ProfileOutcome, RunRecord,

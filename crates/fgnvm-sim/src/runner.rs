@@ -18,6 +18,7 @@ use fgnvm_cpu::{Core, CoreConfig, CoreResult, Trace};
 use fgnvm_mem::{EnergyBreakdown, MemorySystem};
 use fgnvm_types::config::SystemConfig;
 use fgnvm_types::error::ConfigError;
+use fgnvm_types::hist::HIST_BUCKETS;
 
 /// Shared knobs of every experiment.
 #[derive(Debug, Clone, Copy)]
@@ -81,6 +82,9 @@ pub struct RunOutcome {
     /// Approximate 99th-percentile read latency in memory cycles (from
     /// the power-of-two histogram).
     pub read_p99: u64,
+    /// The power-of-two read-latency histogram the percentiles come from
+    /// (bucket i holds latencies below 2^i; see `fgnvm_mem::SystemStats`).
+    pub read_latency_hist: [u64; HIST_BUCKETS],
     /// Mean write latency (arrival → device completion) in memory cycles.
     pub avg_write_latency: f64,
     /// Approximate median write latency in memory cycles.
@@ -153,6 +157,7 @@ pub fn run_one_with_warmup(
         read_p50: memory.stats().read_latency_percentile(0.50),
         read_p95: memory.stats().read_latency_percentile(0.95),
         read_p99: memory.stats().read_latency_percentile(0.99),
+        read_latency_hist: memory.stats().read_latency_hist,
         avg_write_latency: memory.stats().avg_write_latency(),
         write_p50: memory.stats().write_latency_percentile(0.50),
         write_p95: memory.stats().write_latency_percentile(0.95),
@@ -188,6 +193,7 @@ pub fn run_one(
         read_p50: memory.stats().read_latency_percentile(0.50),
         read_p95: memory.stats().read_latency_percentile(0.95),
         read_p99: memory.stats().read_latency_percentile(0.99),
+        read_latency_hist: memory.stats().read_latency_hist,
         avg_write_latency: memory.stats().avg_write_latency(),
         write_p50: memory.stats().write_latency_percentile(0.50),
         write_p95: memory.stats().write_latency_percentile(0.95),
@@ -284,18 +290,18 @@ where
                     IN_SWEEP.with(|flag| flag.set(true));
                     let mut done = Vec::new();
                     loop {
-                        let claimed = queues[me]
-                            .lock()
-                            .expect("sweep queue poisoned")
-                            .pop_front()
-                            .or_else(|| {
-                                (1..workers).find_map(|d| {
-                                    queues[(me + d) % workers]
-                                        .lock()
-                                        .expect("sweep queue poisoned")
-                                        .pop_back()
-                                })
-                            });
+                        // Own queue first, in its own statement: its guard
+                        // must drop before a victim's lock is taken, or two
+                        // idle workers stealing from each other deadlock.
+                        let own = queues[me].lock().expect("sweep queue poisoned").pop_front();
+                        let claimed = own.or_else(|| {
+                            (1..workers).find_map(|d| {
+                                queues[(me + d) % workers]
+                                    .lock()
+                                    .expect("sweep queue poisoned")
+                                    .pop_back()
+                            })
+                        });
                         // Queues only drain after the deal, so empty-everywhere
                         // is stable: nothing left to claim means done.
                         let Some(i) = claimed else { break };
@@ -500,6 +506,24 @@ mod tests {
         set_jobs(0);
         let expected: Vec<u64> = (0..40).map(|v| v * 101).collect();
         assert_eq!(results, expected);
+    }
+
+    #[test]
+    fn idle_workers_stealing_from_each_other_never_deadlock() {
+        // Every sweep ends with all workers idle and trying to steal at
+        // once; a worker that still held its own queue's lock while
+        // locking a victim's could deadlock against that victim. Many
+        // tiny sweeps make that end-of-sweep race frequent.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..20_000 {
+                assert_eq!(run_jobs(&[1u8, 2, 3], |_, &x| x), vec![1, 2, 3]);
+            }
+            let _ = done.send(());
+        });
+        finished
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("run_jobs deadlocked");
     }
 
     #[test]

@@ -166,35 +166,19 @@ fn core_stall_accounting_is_bounded() {
 }
 
 #[test]
-fn every_extension_study_renders_a_table() {
-    use fgnvm_sim::extensions;
-    let params = ExperimentParams {
-        ops: 400,
-        ..ExperimentParams::quick()
-    };
-    let tables = vec![
-        extensions::dimensions(&params).unwrap().to_table(),
-        extensions::schedulers(&params).unwrap().to_table(),
-        extensions::mappings(&params).unwrap().to_table(),
-        extensions::technology(&params).unwrap().to_table(),
-        extensions::pausing(&params).unwrap().to_table(),
-        extensions::scaling(&params).unwrap().to_table(),
-        extensions::cells(&params).unwrap().to_table(),
-        extensions::multiprogrammed(&params).unwrap().to_table(),
-        extensions::coloring(&params).unwrap().to_table(),
-        extensions::timeline(&params).unwrap().to_table(),
-        extensions::write_sweep(&params).unwrap().to_table(),
-        extensions::depth_sweep(&params).unwrap().to_table(),
-        extensions::cores(&params).unwrap().to_table(),
-        extensions::hybrid(&params).unwrap().to_table(),
-    ];
-    for table in tables {
-        assert!(table.row_count() > 0, "{} is empty", table.title());
-        // Every output format renders without panicking.
-        let _ = table.render();
-        let _ = table.to_csv();
-        let _ = table.to_markdown();
-        let _ = table.to_json();
+fn zero_ops_is_a_one_line_error_not_a_panic() {
+    // A zero-length trace has no IPC to compare: the CLI must refuse it
+    // up front instead of panicking mid-study or printing NaN tables.
+    for command in ["dims", "wear", "policy", "fig4", "all"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_fgnvm-repro"))
+            .args([command, "--ops", "0"])
+            .output()
+            .expect("fgnvm-repro runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{command}: {stderr}");
+        assert!(stderr.contains("--ops"), "{command}: {stderr}");
+        assert!(out.stdout.is_empty(), "{command} printed a table");
     }
 }
 
