@@ -25,8 +25,10 @@
 //!   programming time (tWP), but leave every other (SAG, CD) readable.
 //!
 //! Each of the three modes can be disabled independently for ablation
-//! studies; with all three disabled and a 1×1 geometry the bank behaves like
-//! [`BaselineBank`](crate::BaselineBank).
+//! studies. With all three disabled and a 1×1 geometry the bank is still
+//! *not* [`BaselineBank`](crate::BaselineBank): without Multi-Activation it
+//! serializes every access behind the previous one's completion, where the
+//! baseline pipelines row hits at tCCD spacing.
 
 use fgnvm_types::config::BankModel;
 use fgnvm_types::error::ConfigError;
@@ -72,7 +74,9 @@ impl Modes {
         }
     }
 
-    /// All modes disabled; with a 1×1 geometry this reproduces the baseline.
+    /// All modes disabled: every access serializes behind the previous
+    /// one, so even at 1×1 this is stricter than the baseline bank, which
+    /// pipelines row hits.
     pub const fn none() -> Self {
         Modes {
             partial_activation: false,

@@ -186,7 +186,11 @@ impl Trace {
         let name_bytes = data.copy_to_bytes(name_len);
         let name = String::from_utf8(name_bytes.to_vec()).map_err(|_| DecodeTraceError::BadName)?;
         let count = data.get_u64_le() as usize;
-        if data.remaining() < count * 13 {
+        // A forged count must not wrap the size check into a pass.
+        if count
+            .checked_mul(13)
+            .is_none_or(|need| data.remaining() < need)
+        {
             return Err(DecodeTraceError::Truncated);
         }
         let mut records = Vec::with_capacity(count);
@@ -293,6 +297,21 @@ mod tests {
         let data = sample().to_bytes();
         let cut = data.slice(0..data.len() - 5);
         assert_eq!(Trace::from_bytes(cut), Err(DecodeTraceError::Truncated));
+    }
+
+    #[test]
+    fn forged_record_count_is_truncation() {
+        // 13 × this count wraps to 10 in 64 bits: exactly the 10 bytes
+        // that follow it, so a wrapping size check would let it through.
+        let mut data = MAGIC.to_vec();
+        data.extend_from_slice(&0u32.to_le_bytes());
+        data.extend_from_slice(&0x13B1_3B13_B13B_13B2u64.to_le_bytes());
+        data.extend_from_slice(&[0; 10]);
+        assert_eq!(data.len(), 30);
+        assert_eq!(
+            Trace::from_bytes(Bytes::from(data)),
+            Err(DecodeTraceError::Truncated)
+        );
     }
 
     #[test]

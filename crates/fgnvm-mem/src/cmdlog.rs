@@ -165,7 +165,7 @@ impl CommandLog {
         r.tag("cmdlog")?;
         let capacity = r.usize()?;
         let dropped = r.u64()?;
-        let n = r.usize()?;
+        let n = r.count()?;
         let mut records = VecDeque::with_capacity(n);
         for _ in 0..n {
             let at = Cycle::new(r.u64()?);

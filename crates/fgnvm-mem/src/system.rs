@@ -1303,7 +1303,7 @@ impl MemorySystem {
                 l.load_state(r)?;
             }
         }
-        let n = r.usize()?;
+        let n = r.count()?;
         mem.samples = Vec::with_capacity(n);
         for _ in 0..n {
             mem.samples.push(Sample {
@@ -1315,25 +1315,25 @@ impl MemorySystem {
                 write_queue: r.usize()?,
             });
         }
-        let n = r.usize()?;
+        let n = r.count()?;
         mem.bad_rows = HashMap::with_capacity(n);
         for _ in 0..n {
             let key = (r.u32()?, r.usize()?, r.u32()?);
             mem.bad_rows.insert(key, r.u32()?);
         }
-        let n = r.usize()?;
+        let n = r.count()?;
         mem.spares_used = HashMap::with_capacity(n);
         for _ in 0..n {
             let key = (r.u32()?, r.usize()?);
             mem.spares_used.insert(key, r.u32()?);
         }
-        let n = r.usize()?;
+        let n = r.count()?;
         mem.retired = HashMap::with_capacity(n);
         for _ in 0..n {
             let key = (r.u32()?, r.usize()?);
             mem.retired.insert(key, r.u32()?);
         }
-        let n = r.usize()?;
+        let n = r.count()?;
         mem.read_only = HashSet::with_capacity(n);
         for _ in 0..n {
             mem.read_only.insert((r.u32()?, r.usize()?));
@@ -2203,7 +2203,11 @@ mod tests {
         let mut plain = MemorySystem::new(SystemConfig::fgnvm(8, 2).unwrap()).unwrap();
         let mut observed = MemorySystem::new(SystemConfig::fgnvm(8, 2).unwrap()).unwrap();
         observed.enable_observer();
-        for mem in [&mut plain, &mut observed] {
+        // Telemetry at serve's default 10k-cycle windows rides on the same
+        // hooks and must be just as passive.
+        let mut telemetry = MemorySystem::new(SystemConfig::fgnvm(8, 2).unwrap()).unwrap();
+        telemetry.enable_telemetry(10_000, 128, 256);
+        for mem in [&mut plain, &mut observed, &mut telemetry] {
             for wave in addrs.chunks(12) {
                 for (i, &a) in wave.iter().enumerate() {
                     let op = if i % 4 == 0 { Op::Write } else { Op::Read };
@@ -2212,9 +2216,13 @@ mod tests {
                 mem.run_until_idle(1_000_000);
             }
         }
-        assert_eq!(plain.now(), observed.now());
-        assert_eq!(plain.stats(), observed.stats());
-        assert_eq!(plain.bank_stats(), observed.bank_stats());
+        for mem in [&observed, &telemetry] {
+            assert_eq!(plain.now(), mem.now());
+            assert_eq!(plain.stats(), mem.stats());
+            assert_eq!(plain.bank_stats(), mem.bank_stats());
+        }
+        let ts = telemetry.observer().and_then(Observer::timeseries);
+        assert!(ts.is_some_and(|ts| ts.window_cycles() == 10_000));
 
         let obs = observed.observer().expect("observer enabled");
         // Every request got a lifecycle record and every record closed.

@@ -8,7 +8,9 @@
 //! 1. a property test pushing random request streams through every system
 //!    preset (including reliability-enabled ones) in both modes;
 //! 2. a sweep over every checked-in `configs/*.cfg` file, parsed exactly as
-//!    the `fgnvm_trace` binary would parse it;
+//!    the `fgnvm_trace` binary would parse it, and the write drain (waves
+//!    of writes that are mostly dead cycles), which must also skip at
+//!    least five cycles per host step;
 //! 3. exhaustive unit checks that both bank FSMs' `next_ready_hint` is a
 //!    sound lower bound — the contract the skip logic rests on — and that
 //!    every bank model's blocked verdicts are stable until their retry —
@@ -121,25 +123,32 @@ struct Snapshot {
 /// Feeds `reqs` (retrying on backpressure), drains, and captures every
 /// observable output — with fast-forwarding on or off.
 fn drive(config: &SystemConfig, reqs: &[Gen], fast_forward: bool) -> Snapshot {
+    drive_waves(config, &[reqs], fast_forward)
+}
+
+/// [`drive`] over several waves, draining the system to idle after each.
+fn drive_waves(config: &SystemConfig, waves: &[&[Gen]], fast_forward: bool) -> Snapshot {
     let mut mem = MemorySystem::new(*config).unwrap();
     mem.set_fast_forward(fast_forward);
     mem.enable_command_log(1 << 20);
     mem.enable_sampling(64);
     mem.enable_observer();
     let mut completions = Vec::new();
-    for g in reqs {
-        let op = if g.is_write { Op::Write } else { Op::Read };
-        let mut guard = 0;
-        loop {
-            if mem.enqueue(op, g.addr()).is_some() {
-                break;
+    for wave in waves {
+        for g in *wave {
+            let op = if g.is_write { Op::Write } else { Op::Read };
+            let mut guard = 0;
+            loop {
+                if mem.enqueue(op, g.addr()).is_some() {
+                    break;
+                }
+                mem.tick_into(&mut completions);
+                guard += 1;
+                assert!(guard < 100_000, "backpressure never relieved");
             }
-            mem.tick_into(&mut completions);
-            guard += 1;
-            assert!(guard < 100_000, "backpressure never relieved");
         }
+        completions.extend(mem.run_until_idle(10_000_000));
     }
-    completions.extend(mem.run_until_idle(10_000_000));
     let oracle = Oracle::new(mem.config()).unwrap();
     let mut commands = Vec::new();
     let mut protocol = Vec::new();
@@ -282,6 +291,72 @@ fn every_checked_in_config_is_fast_forward_clean() {
             "{path}: observer recorded no command slices"
         );
     }
+}
+
+/// The write drain: 12 waves of 32 writes to distinct lines of 8 rows in
+/// one bank of `fgnvm(8, 2)`, each wave drained to idle. The writes
+/// serialize on the long program pulse, so the run is mostly dead cycles:
+/// the workload where fast-forward skips the most.
+fn write_drain_waves() -> Vec<Vec<Gen>> {
+    (0..12u64)
+        .map(|wave| {
+            (wave * 32..(wave + 1) * 32)
+                .map(|id| Gen {
+                    is_write: true,
+                    region: 0,
+                    row: id % 8,
+                    line: (id / 8) % 16,
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Simulated cycles the write drain takes on `fgnvm(8, 2)`.
+const WRITE_DRAIN_CYCLES: u64 = 30_732;
+
+#[test]
+fn write_drain_is_bit_identical_under_fast_forward() {
+    let waves = write_drain_waves();
+    let waves: Vec<&[Gen]> = waves.iter().map(Vec::as_slice).collect();
+    let config = SystemConfig::fgnvm(8, 2).unwrap();
+    let fast = drive_waves(&config, &waves, true);
+    let stepped = drive_waves(&config, &waves, false);
+    assert_eq!(fast.now.raw(), WRITE_DRAIN_CYCLES);
+    assert_eq!(fast.completions.len(), 12 * 32);
+    assert_eq!(fast, stepped, "the write drain diverged under fast-forward");
+}
+
+/// Fast-forward must actually skip: driving the write drain through the
+/// public event API, one host step (a hop to the next event, then the tick
+/// there) covers at least five simulated cycles on average. A stepped run
+/// takes one step per cycle, so this is the floor "fast-forward is ≥ 5x
+/// stepping" stated without a wall clock.
+#[test]
+fn write_drain_fast_forwards_at_least_five_cycles_per_step() {
+    let mut mem = MemorySystem::new(SystemConfig::fgnvm(8, 2).unwrap()).unwrap();
+    let mut out = Vec::new();
+    let mut steps = 0u64;
+    for wave in write_drain_waves() {
+        for g in &wave {
+            while mem.enqueue(Op::Write, g.addr()).is_none() {
+                mem.tick_into(&mut out);
+                steps += 1;
+            }
+        }
+        while let Some(at) = mem.next_event_at() {
+            mem.tick_to(at, &mut out);
+            mem.tick_into(&mut out);
+            steps += 1;
+        }
+    }
+    assert_eq!(out.len(), 12 * 32);
+    let cycles = mem.now().raw();
+    assert_eq!(cycles, WRITE_DRAIN_CYCLES);
+    assert!(
+        cycles >= 5 * steps,
+        "{cycles} cycles over {steps} steps: fast-forward skips too little"
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -690,7 +690,7 @@ impl Attribution {
         r: &mut fgnvm_types::SnapshotReader<'_>,
     ) -> Result<(), fgnvm_types::SnapshotError> {
         r.tag("attr")?;
-        let n = r.usize()?;
+        let n = r.count()?;
         self.open = HashMap::with_capacity(n);
         for _ in 0..n {
             let id = r.u64()?;
@@ -712,7 +712,7 @@ impl Attribution {
         self.windows = BankMap::default();
         for _ in 0..n {
             let key = (r.u32()?, r.u32()?);
-            let len = r.usize()?;
+            let len = r.count()?;
             let mut list = Vec::with_capacity(len);
             for _ in 0..len {
                 list.push(Window {
@@ -730,7 +730,7 @@ impl Attribution {
         self.acts = BankMap::default();
         for _ in 0..n {
             let key = (r.u32()?, r.u32()?);
-            let len = r.usize()?;
+            let len = r.count()?;
             let mut list = Vec::with_capacity(len);
             for _ in 0..len {
                 list.push(r.u64()?);
@@ -743,7 +743,7 @@ impl Attribution {
             totals.cycles = read_buckets(r)?;
             totals.dominant = read_buckets(r)?;
         }
-        let n = r.usize()?;
+        let n = r.count()?;
         self.requests = Vec::with_capacity(n);
         for _ in 0..n {
             self.requests.push(RequestAttribution {

@@ -378,12 +378,12 @@ impl TileHeatmap {
         self.clocks = BankMap::default();
         for _ in 0..n {
             let key = (r.u32()?, r.u32()?);
-            let n_sag = r.usize()?;
+            let n_sag = r.count()?;
             let mut sag_busy_until = Vec::with_capacity(n_sag);
             for _ in 0..n_sag {
                 sag_busy_until.push(r.u64()?);
             }
-            let n_cd = r.usize()?;
+            let n_cd = r.count()?;
             let mut cd_busy_until = Vec::with_capacity(n_cd);
             for _ in 0..n_cd {
                 cd_busy_until.push(r.u64()?);

@@ -401,7 +401,7 @@ impl TraceSink {
         for _ in 0..n {
             self.names.push(Cow::Owned(r.str()?));
         }
-        let n = r.usize()?;
+        let n = r.count()?;
         if n > self.cap {
             return Err(SnapshotError::Corrupt(format!(
                 "trace holds {n} events, over its cap of {}",
@@ -409,18 +409,17 @@ impl TraceSink {
             )));
         }
         self.records.clear();
-        // Every record takes at least one byte.
-        self.records.reserve(n.min(r.remaining()));
+        self.records.reserve(n);
         for _ in 0..n {
             self.records.push(Record::load(r, self.names.len())?);
         }
-        let n = r.usize()?;
-        self.named_procs = Vec::with_capacity(n.min(r.remaining()));
+        let n = r.count()?;
+        self.named_procs = Vec::with_capacity(n);
         for _ in 0..n {
             insert_sorted(&mut self.named_procs, r.u32()?);
         }
-        let n = r.usize()?;
-        self.named_tracks = Vec::with_capacity(n.min(r.remaining()));
+        let n = r.count()?;
+        self.named_tracks = Vec::with_capacity(n);
         for _ in 0..n {
             insert_sorted(&mut self.named_tracks, (r.u32()?, r.u32()?));
         }

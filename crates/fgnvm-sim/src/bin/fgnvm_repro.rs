@@ -31,6 +31,8 @@
 //!   cores     4-core consolidation: throughput / weighted speedup / fairness
 //!   hybrid    DRAM-buffered PCM (ref [8]) vs and with FgNVM
 //!   reliability  fault injection: RBER x write-verify sweep through ECC/retry/remap
+//!   reliability-horizon  device lifetime: the wear-out escalation ladder
+//!             over increasing serve horizons
 //!   observe   instrumented run: spans, SAGxCD heatmap, Perfetto trace [cfg]
 //!   audit     issue-audited run: realized rate vs measured opportunity
 //!             ceiling vs Amdahl bound, block attribution, missed-pair
@@ -63,10 +65,9 @@
 //! `--live` draws a sparkline status line; `--progress` prints a one-line
 //! heartbeat per window; `--slo-read-p99 N` tracks per-window SLO burn;
 //! `--dump-flight FILE` writes the flight-recorder post-mortem (JSON +
-//! ASCII timeline) at exit. `reliability --horizon N` switches the fault study
-//! to the device-lifetime sweep (the wear-out escalation ladder over
-//! increasing horizons). `--jobs N` caps sweep parallelism (0 = number of
-//! host cores).
+//! ASCII timeline) at exit. `--horizon` belongs to `serve` and `fairness`
+//! alone; any other command rejects it. `--jobs N` caps sweep parallelism
+//! (0 = number of host cores).
 //!
 //! `observe` additionally honors `--trace-out FILE` (Chrome trace-event
 //! JSON, loadable at `ui.perfetto.dev`) and `--metrics-out FILE` (the
@@ -99,7 +100,7 @@ struct Cli {
     seeds: usize,
     ledger: std::path::PathBuf,
     report_out: Option<std::path::PathBuf>,
-    horizon: u64,
+    horizon: Option<u64>,
     checkpoint_every: u64,
     checkpoint_dir: Option<std::path::PathBuf>,
     resume: Option<std::path::PathBuf>,
@@ -132,7 +133,7 @@ fn parse_args() -> Result<Cli, String> {
     let mut seeds = 3;
     let mut ledger = std::path::PathBuf::from("target/runs.jsonl");
     let mut report_out = None;
-    let mut horizon = 0u64;
+    let mut horizon = None;
     let mut checkpoint_every = 0u64;
     let mut checkpoint_dir = None;
     let mut resume = None;
@@ -196,7 +197,7 @@ fn parse_args() -> Result<Cli, String> {
             }
             "--horizon" => {
                 let v = args.next().ok_or("--horizon needs a value")?;
-                horizon = v.parse().map_err(|_| format!("bad --horizon value: {v}"))?;
+                horizon = Some(v.parse().map_err(|_| format!("bad --horizon value: {v}"))?);
             }
             "--checkpoint-every" => {
                 let v = args.next().ok_or("--checkpoint-every needs a value")?;
@@ -303,7 +304,7 @@ fn parse_args() -> Result<Cli, String> {
 }
 
 fn usage() -> String {
-    "usage: fgnvm-repro <table1|table2|fig4|fig5|ablation|sweep|dims|sched|maps|tech|pause|scaling|mlc|mix|coloring|timeline|writes|depth|detail|cores|hybrid|reliability|tail|wear|policy|mlp|observe|audit|profile|compare|check|fuzz|serve|fairness|regress|summary|all> \
+    "usage: fgnvm-repro <table1|table2|fig4|fig5|ablation|sweep|dims|sched|maps|tech|pause|scaling|mlc|mix|coloring|timeline|writes|depth|detail|cores|hybrid|reliability|reliability-horizon|tail|wear|policy|mlp|observe|audit|profile|compare|check|fuzz|serve|fairness|regress|summary|all> \
      [--ops N] [--seed S] [--seeds N] [--cases N] [--csv|--md|--json] [--out DIR] [--trace-out FILE] [--metrics-out FILE] [--ledger FILE] [--report FILE] [--jobs N] \
      [--horizon N] [--checkpoint-every N] [--checkpoint-dir DIR] [--resume FILE] [--policy reject|block] [--watchdog N] [--kill-resume] [--audit] \
      [--telemetry-out FILE] [--telemetry-every N] [--prom-out FILE] [--live] [--progress] [--slo-read-p99 N] [--dump-flight FILE] [--tenants SPEC]"
@@ -373,11 +374,15 @@ fn run(cli: &Cli) -> Result<(), String> {
     if p.ops == 0 && !matches!(cli.command.as_str(), "serve" | "fairness") {
         return Err("--ops must be at least 1: it sets the trace length".into());
     }
-    let study_name = match cli.command.as_str() {
-        "reliability" if cli.horizon > 0 => "reliability-horizon",
-        other => other,
-    };
-    if let Some(run_study) = fgnvm_sim::study(study_name) {
+    // Only the serve drivers run to a horizon; the lifetime sweep has its
+    // own command with its own horizons.
+    if cli.horizon.is_some() && !matches!(cli.command.as_str(), "serve" | "fairness") {
+        return Err(format!(
+            "--horizon applies only to serve and fairness (the lifetime sweep is `reliability-horizon`), not to `{}`",
+            cli.command
+        ));
+    }
+    if let Some(run_study) = fgnvm_sim::study(&cli.command) {
         let study = run_study(p).map_err(|e| e.to_string())?;
         emit(&study.to_table(), format);
         if matches!(format, Format::Text) {
@@ -871,11 +876,11 @@ fn serve_command(cli: &Cli) -> Result<(), String> {
         None => fgnvm_types::SystemConfig::fgnvm(8, 2).map_err(|e| e.to_string())?,
     };
     let mut sc = fgnvm_sim::ServeConfig::default();
-    if cli.horizon > 0 {
-        sc.horizon = cli.horizon;
+    if let Some(horizon) = cli.horizon.filter(|&h| h > 0) {
+        sc.horizon = horizon;
         // Default arrival pressure tracks the horizon (~1 op / 40 cycles)
         // unless --ops was given explicitly.
-        sc.ops = cli.horizon / 40;
+        sc.ops = horizon / 40;
     }
     if cli.params.ops != fgnvm_sim::ExperimentParams::full().ops {
         sc.ops = cli.params.ops as u64;
@@ -975,9 +980,9 @@ fn fairness_command(cli: &Cli) -> Result<(), String> {
         .as_ref()
         .ok_or("fairness needs --tenants with at least two tenants")?;
     let mut sc = fgnvm_sim::ServeConfig::default();
-    if cli.horizon > 0 {
-        sc.horizon = cli.horizon;
-        sc.ops = cli.horizon / 40;
+    if let Some(horizon) = cli.horizon.filter(|&h| h > 0) {
+        sc.horizon = horizon;
+        sc.ops = horizon / 40;
     }
     if cli.params.ops != fgnvm_sim::ExperimentParams::full().ops {
         sc.ops = cli.params.ops as u64;

@@ -51,7 +51,7 @@
 //!   write-verify retry pressure swept together, reporting the slowdown
 //!   and read-latency tail the ECC + retry + remap datapath costs.
 //! * `reliability-horizon` — the wear-out escalation ladder over
-//!   increasing serve horizons (`fgnvm-repro reliability --horizon N`).
+//!   increasing serve horizons (`fgnvm-repro reliability-horizon`).
 //!
 //! The (traces × designs) studies build their traces once and make one
 //! [`run_grid`] call. `maps`, `timeline`, `cores`, `hybrid`, `wear` and
@@ -204,8 +204,7 @@ impl Study {
 pub type StudyFn = fn(&ExperimentParams) -> Result<Study, SimError>;
 
 /// Every study, keyed by its `fgnvm-repro` command name, in the order
-/// `fgnvm-repro all` runs them. `reliability-horizon` is what
-/// `reliability --horizon N` runs.
+/// `fgnvm-repro all` runs them.
 pub const STUDIES: &[(&str, StudyFn)] = &[
     ("dims", dimensions),
     ("sched", schedulers),

@@ -1551,6 +1551,18 @@ mod tests {
                 other => panic!("bent {why} byte decoded as {:?}", other.map(|_| ())),
             }
         }
+
+        // A forged element count asks for more elements than bytes remain:
+        // re-sealed, it must decode as a truncation, not size an
+        // allocation. The attribution section opens with its open-request
+        // count.
+        let mut forged = payload.to_vec();
+        let count = attr + 4 + "attr".len();
+        forged[count..count + 8].copy_from_slice(&(u64::MAX >> 4).to_le_bytes());
+        assert!(matches!(
+            load_checkpoint(small_cfg(), &reseal(&forged)),
+            Err(SimError::Snapshot(SnapshotError::Truncated { .. }))
+        ));
     }
 
     #[test]

@@ -410,6 +410,28 @@ impl<'a> SnapshotReader<'a> {
         self.buf.len() - self.pos
     }
 
+    /// Reads the element count that prefixes a collection, for a caller
+    /// about to size an allocation by it. Every element takes at least one
+    /// byte, so a count past [`remaining`](Self::remaining) cannot be
+    /// honest: the stream ended early, or a forged one asks for a huge
+    /// allocation.
+    ///
+    /// # Errors
+    ///
+    /// As [`usize`](Self::usize), plus [`SnapshotError::Truncated`] when
+    /// the count exceeds the bytes left.
+    pub fn count(&mut self) -> Result<usize, SnapshotError> {
+        let n = self.usize()?;
+        let available = self.remaining();
+        if n > available {
+            return Err(SnapshotError::Truncated {
+                expected: n,
+                available,
+            });
+        }
+        Ok(n)
+    }
+
     /// Reads a little-endian `u128`.
     ///
     /// # Errors

@@ -183,6 +183,33 @@ fn zero_ops_is_a_one_line_error_not_a_panic() {
 }
 
 #[test]
+fn horizon_outside_serve_is_a_one_line_error() {
+    // Only `serve` and `fairness` run to a horizon. Anywhere else the flag
+    // would be ignored (`reliability --horizon 5` reads as a sweep to 5,
+    // but the lifetime sweep has fixed horizons), so it is refused, even
+    // at 0.
+    for (command, horizon) in [
+        ("reliability", "5"),
+        ("reliability-horizon", "5"),
+        ("dims", "0"),
+        ("all", "5"),
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_fgnvm-repro"))
+            .args([command, "--horizon", horizon])
+            .output()
+            .expect("fgnvm-repro runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{command}: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{command}: {stderr}");
+        assert!(
+            stderr.contains("reliability-horizon"),
+            "{command}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{command} printed a table");
+    }
+}
+
+#[test]
 fn empty_trace_is_a_noop_everywhere() {
     let trace = fgnvm_cpu::Trace::new("empty", vec![]);
     let params = tiny();
